@@ -94,6 +94,16 @@ _CONFIG_KEYS = {
 }
 
 
+def _config_int(data: Mapping[str, Any], key: str) -> int:
+    """An integer config field; bools and fractional numbers are rejected, not truncated."""
+    value = data[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo run (also the JSON config schema)."""
@@ -132,10 +142,10 @@ class ExperimentConfig:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(
             kind=data["kind"],
-            n=int(data["n"]),
-            m=int(data["m"]),
-            trials=int(data["trials"]),
-            base_seed=int(data["base_seed"]),
+            n=_config_int(data, "n"),
+            m=_config_int(data, "m"),
+            trials=_config_int(data, "trials"),
+            base_seed=_config_int(data, "base_seed"),
             distribution=dict(data["distribution"]),
             hash_spec=dict(data["hash"]),
             bound=dict(data["bound"]),
@@ -175,7 +185,6 @@ class TrialRecord:
     value: float
     violation: bool
     rel_error: float | None = None
-    signed_deviation: float | None = None
     ast_exact: float | None = None
 
 
@@ -325,26 +334,18 @@ def run_collision_trials(
     p_norm_sq = norm_sq(p)
     bound = resolve_collision_bound(cfg.bound, cfg.n, cfg.m)
 
-    cdf = q.cdf
+    cdf, guide = q.cdf, q.guide
     records, emit = _record_sink(cfg.trials, cfg.base_seed, record_cap, reservoir_size)
     stats = _Welford()
     violations = 0
     for t in range(cfg.trials):
-        keys = sample_from_cdf(cdf, rng.trial_seed(cfg.base_seed, t), cfg.m)
+        keys = sample_from_cdf(cdf, rng.trial_seed(cfg.base_seed, t), cfg.m, guide)
         est = empirical_collision_probability(count_slots(KeySequence(keys, len(q)), h))
         rel = relative_error(est, p_norm_sq)
         violation = rel > bound.error_bound
         violations += violation
         stats.add(est.empirical_cp)
-        emit(
-            TrialRecord(
-                trial=t,
-                value=est.empirical_cp,
-                violation=violation,
-                rel_error=rel,
-                signed_deviation=est.empirical_cp / p_norm_sq - 1.0,
-            )
-        )
+        emit(TrialRecord(trial=t, value=est.empirical_cp, violation=violation, rel_error=rel))
     aggregates = {
         "trials": cfg.trials,
         "mean": stats.mean,
@@ -391,13 +392,13 @@ def run_ast_trials(
         cfg.bound, L, h.slots, math.sqrt(norm_sq(v)), math.sqrt(norm_sq(p))
     )
 
-    cdf = q.cdf
+    cdf, guide = q.cdf, q.guide
     records, emit = _record_sink(cfg.trials, cfg.base_seed, record_cap, reservoir_size)
     upper_stats = _Welford()
     exact_stats = _Welford()
     violations = 0
     for t in range(cfg.trials):
-        keys = sample_from_cdf(cdf, rng.trial_seed(cfg.base_seed, t), cfg.m)
+        keys = sample_from_cdf(cdf, rng.trial_seed(cfg.base_seed, t), cfg.m, guide)
         x = KeySequence(keys, len(q))
         upper = search_time.search_time_upper(v, count_slots(x, h))
         exact = search_time.average_search_time(v, x, h)
@@ -499,10 +500,10 @@ def unbiasedness_check(
         raise ValueError("trials must be at least 100")
     p = slot_probabilities(dist, h)
     p_norm_sq = norm_sq(p)
-    cdf = dist.cdf
+    cdf, guide = dist.cdf, dist.guide
     stats = _Welford()
     for t in range(trials):
-        keys = sample_from_cdf(cdf, rng.trial_seed(base_seed, t), m)
+        keys = sample_from_cdf(cdf, rng.trial_seed(base_seed, t), m, guide)
         est = empirical_collision_probability(count_slots(KeySequence(keys, len(dist)), h))
         stats.add(est.empirical_cp)
     std = stats.sample_std

@@ -17,6 +17,13 @@ from .probability import KeySequence, ProbabilityVector
 # Guardrail against accidental huge allocations; both U and n must stay under it.
 MAX_SIZE = 2**24
 
+# distinct_counts finds the distinct keys with a bincount over the universe
+# when U <= this many times the key count, and with np.unique otherwise.
+# On 10**3..10**5 random keys the bincount was the faster up to U between 32
+# and 64 times the key count; at 8 times it was 3.5-7x faster, and its count
+# array stays within 8 entries per key.
+_BINCOUNT_UNIVERSE_PER_KEY = 8
+
 
 def _check_size(value: int, what: str) -> int:
     value = int(value)
@@ -49,13 +56,19 @@ class HashModel:
     def from_table(cls, table, n: int) -> "HashModel":
         """Explicit lookup table: table[key] is the slot of ``key``."""
         n = _check_size(n, "slot count")
-        arr = np.asarray(table, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(table)
+        if raw.ndim != 1 or raw.size == 0:
             raise ValueError("table must be a nonempty 1-d sequence")
-        _check_size(arr.size, "universe size")
-        if int(arr.min()) < 0 or int(arr.max()) >= n:
+        _check_size(raw.size, "universe size")
+        if raw.dtype.kind == "f":
+            integral = np.all(np.isfinite(raw) & (raw == np.trunc(raw)))
+        else:
+            integral = raw.dtype.kind in "iu"
+        if not integral:
+            raise ValueError("table entries must be integers")
+        if raw.min() < 0 or raw.max() >= n:
             raise ValueError("table entries must lie in [0, n)")
-        arr = arr.copy()
+        arr = raw.astype(np.int64)
         arr.flags.writeable = False
         return cls("fixed-table", arr, arr.size, n)
 
@@ -185,6 +198,9 @@ def distinct_counts(x: KeySequence, h: HashModel) -> SlotCounts:
     key land on the same stored entry.
     """
     _check_keys(x, h)
-    uniq = np.unique(x.keys)
+    if x.universe <= _BINCOUNT_UNIVERSE_PER_KEY * len(x):
+        uniq = np.flatnonzero(np.bincount(x.keys, minlength=x.universe))
+    else:
+        uniq = np.unique(x.keys)
     slots = h.slots_of(uniq)
     return SlotCounts(np.bincount(slots, minlength=h.slots))

@@ -2,9 +2,13 @@
 
 A :class:`ProbabilityVector` plays three roles: the key distribution over
 the universe, the induced slot distribution, and a user's access pattern
-over slots.  Sampling is inverse-CDF over a precomputed cumulative array,
-driven by the portable stream in :mod:`chainhash.rng`, so sequences are
-reproducible bit-for-bit from (vector, seed, count).
+over slots.  Sampling is inverse-CDF, driven by the portable stream in
+:mod:`chainhash.rng`: for each uniform double u in [0, 1) the draw is the
+smallest index i with u * cdf[-1] < cdf[i] (the last index if there is
+none), where ``cdf`` is the float64 ``cumsum`` of the weights.  Sequences
+are therefore reproducible bit-for-bit from (vector, seed, count).  The
+search for that index goes through a guide table (Chen & Asau 1974), which
+finds exactly the index the rule names; see :func:`inverse_cdf`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,17 @@ from . import rng
 
 SUM_TOL = 1e-12
 
+# Guide-table buckets: a power of two, four per outcome up to 2**16 outcomes
+# and one per outcome above, capped at 2**20 so that the int32 table holds
+# 4 MiB plus one entry.  Fewer draws then land in a bucket that holds a cdf
+# step: 6400 Zipf-64 draws took 86 us with four buckets per outcome and
+# 168 us with one (binary search: 263 us).
+_GUIDE_FINE_UP_TO = 2**16
+_GUIDE_MAX_BUCKETS = 2**20
+# Bucket edges searched per call while building (the fastest of 2**10..2**16
+# on a 2**20-entry Zipf cdf).
+_GUIDE_BLOCK = 2**12
+
 
 class ProbabilityVector:
     """Nonnegative weights normalized to sum to one.
@@ -26,7 +41,7 @@ class ProbabilityVector:
     renormalized afterward.  Instances are immutable.
     """
 
-    __slots__ = ("_weights", "_cdf")
+    __slots__ = ("_weights", "_cdf", "_guide")
 
     def __init__(self, weights: Sequence[float] | np.ndarray):
         arr = np.asarray(weights, dtype=np.float64)
@@ -43,6 +58,7 @@ class ProbabilityVector:
         arr.flags.writeable = False
         self._weights = arr
         self._cdf: np.ndarray | None = None
+        self._guide: np.ndarray | None = None
 
     @property
     def weights(self) -> np.ndarray:
@@ -56,6 +72,15 @@ class ProbabilityVector:
             cdf.flags.writeable = False
             self._cdf = cdf
         return self._cdf
+
+    @property
+    def guide(self) -> np.ndarray:
+        """Guide table of :attr:`cdf` (see :func:`guide_table`), built on first use."""
+        if self._guide is None:
+            guide = guide_table(self.cdf)
+            guide.flags.writeable = False
+            self._guide = guide
+        return self._guide
 
     def __len__(self) -> int:
         return self._weights.size
@@ -157,11 +182,91 @@ def sample(pv: ProbabilityVector, seed: int, count: int) -> KeySequence:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return KeySequence(sample_from_cdf(pv.cdf, seed, count), len(pv))
+    return KeySequence(sample_from_cdf(pv.cdf, seed, count, pv.guide), len(pv))
 
 
-def sample_from_cdf(cdf: np.ndarray, seed: int, count: int) -> np.ndarray:
-    """Low-level inverse-CDF sampler over a precomputed cumulative array."""
-    u = rng.stream_doubles(seed, count)
-    idx = np.searchsorted(cdf, u * cdf[-1], side="right")
-    return np.minimum(idx, cdf.size - 1).astype(np.int64)
+def sample_from_cdf(
+    cdf: np.ndarray, seed: int, count: int, guide: np.ndarray | None = None
+) -> np.ndarray:
+    """Low-level inverse-CDF sampler over a precomputed cumulative array.
+
+    Draws :func:`inverse_cdf` of the first ``count`` doubles of the stream
+    for ``seed``.  Pass ``guide_table(cdf)`` (or :attr:`ProbabilityVector.guide`)
+    when sampling the same cdf repeatedly; without it each call builds one.
+    """
+    return inverse_cdf(cdf, rng.stream_doubles(seed, count), guide)
+
+
+def guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a nondecreasing cdf: ``K + 1`` int32 bucket starts.
+
+    ``K`` is a power of two fixed by ``U = cdf.size`` (4 * 2**ceil(log2 U)
+    up to U = 2**16, 2**ceil(log2 U) above, at most 2**20), and entry j is
+    ``min(searchsorted(cdf, (j/K) * cdf[-1], "right"), U - 1)``: the draw of
+    the uniform j/K.  Edges are searched a block at a time, each block only
+    in the cdf slice between its first and last answers: the temporaries
+    stay small and the searches stay in cache.
+    """
+    size = cdf.size
+    buckets = 1 << (size - 1).bit_length()
+    if size <= _GUIDE_FINE_UP_TO:
+        buckets *= 4
+    buckets = min(buckets, _GUIDE_MAX_BUCKETS)
+    guide = np.empty(buckets + 1, dtype=np.int32)
+    low = 0
+    for start in range(0, buckets + 1, _GUIDE_BLOCK):
+        stop = min(start + _GUIDE_BLOCK, buckets + 1)
+        edges = np.arange(start, stop) / buckets * cdf[-1]
+        high = low + int(np.searchsorted(cdf[low:], edges[-1], side="right"))
+        found = np.searchsorted(cdf[low:high], edges, side="right")
+        found += low
+        np.minimum(found, size - 1, out=guide[start:stop])
+        low = high
+    return guide
+
+
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray, guide: np.ndarray | None = None) -> np.ndarray:
+    """For each u in [0, 1), the smallest i with u * cdf[-1] < cdf[i] (else the last i).
+
+    This is ``min(searchsorted(cdf, u * cdf[-1], "right"), U - 1)``, found
+    through ``guide = guide_table(cdf)`` (built here if not given) with
+    K = len(guide) - 1 buckets.  Why the result is the same index:
+
+    * u lies in bucket j = floor(u * K), computed exactly because K is a
+      power of two, so j/K <= u < (j+1)/K.
+    * Rounded multiplication by cdf[-1] >= 0 and the clamped search are
+      both monotone, so guide[j] <= draw(u) <= guide[j+1].
+    * Where guide[j] == guide[j+1] that is the draw.  Elsewhere, with
+      t = u * cdf[-1], the draw is the first i in [guide[j], guide[j+1])
+      with t < cdf[i], or guide[j+1] if there is none.  One forward step
+      settles every draw whose answer is guide[j] (such as a window that
+      runs into a zero-weight tail).  For the others cdf[guide[j]] <= t,
+      and steps of halving powers of two move that index to the last one
+      below guide[j+1] with cdf <= t; the draw is the index after it.
+
+    The halving steps keep the cost logarithmic in the window where
+    buckets span many cdf entries (U above the 2**20 bucket cap); a plain
+    forward scan is linear there, and on 6400 draws from a 2**24-entry
+    Zipf cdf it was slower than the binary search it replaces.
+    """
+    if guide is None:
+        guide = guide_table(cdf)
+    t = u * cdf[-1]
+    bucket = (u * (guide.size - 1)).astype(np.intp)
+    idx = guide.take(bucket).astype(np.int64)
+    end = guide[1:].take(bucket)
+    wide = np.flatnonzero(idx < end)
+    wide = wide[cdf[idx[wide]] <= t[wide]]
+    if wide.size:
+        last, stop, target = idx[wide], end[wide], t[wide]
+        step = 1 << (int((stop - last).max()) - 1).bit_length()
+        while step > 1:
+            step >>= 1
+            probe = last + step
+            ok = cdf.take(probe, mode="clip") <= target
+            # Past the window cdf > t, unless t rounded up to cdf[-1]
+            # (possible only for a subnormal total).
+            ok &= probe < stop
+            np.copyto(last, probe, where=ok)
+        idx[wide] = last + 1
+    return idx

@@ -46,21 +46,30 @@ def stream_uint64(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
     Vectorized: the i-th output is ``mix64(mix64(seed) + (i+1)*GOLDEN)``
     mod 2**64, so any slice of the stream can be produced without
-    generating its prefix.
+    generating its prefix.  The arithmetic runs in place on the output and
+    one scratch array, so a call holds two ``count``-long arrays at most.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = np.uint64(mix64(seed)) + idx * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(mix64(seed))
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_M1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_M2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def stream_doubles(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Uniform doubles in [0, 1), one per stream output (top 53 bits)."""
     bits = stream_uint64(seed, count, offset)
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def trial_seed(base_seed: int, trial: int) -> int:

@@ -210,6 +210,21 @@ class TestExperimentCommand:
         assert code == 1
         assert "missing" in err
 
+    def test_fractional_config_count_is_domain_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "kind": "collision", "n": 64.7, "m": 640, "trials": 5, "base_seed": 1,
+                    "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+                    "bound": {"name": "load-factor", "epsilon": 0.3},
+                }
+            )
+        )
+        code, _, err = run(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 1
+        assert "'n' must be an integer" in err
+
 
 class TestPerturbationCommand:
     def test_reports_zero_violations(self, capsys):

@@ -72,6 +72,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="missing"):
             ExperimentConfig.from_dict({"kind": "collision"})
 
+    @pytest.mark.parametrize("key", ["n", "m", "trials", "base_seed"])
+    @pytest.mark.parametrize("value", [64.7, True, float("nan"), "64", None])
+    def test_integer_fields_reject_fractions_bools_and_non_numbers(self, key, value):
+        # int() would truncate 64.7 to 64 and read true as 1.
+        with pytest.raises(ValueError, match=key):
+            collision_config(**{key: value})
+
+    def test_integral_floats_accepted_as_integers(self):
+        cfg = collision_config(n=64.0, m=640.0, trials=50.0, base_seed=123.0)
+        assert cfg == collision_config()
+        assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.trials, cfg.base_seed))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             collision_config(trials=0)

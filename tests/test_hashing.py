@@ -11,7 +11,7 @@ from chainhash.hashing import (
     distinct_counts,
     slot_probabilities,
 )
-from chainhash.probability import KeySequence, ProbabilityVector, make_uniform, sample
+from chainhash.probability import KeySequence, ProbabilityVector, make_uniform, make_zipf, sample
 
 
 class TestHashModel:
@@ -33,6 +33,19 @@ class TestHashModel:
             HashModel.from_table([0, -1], 2)
         with pytest.raises(ValueError):
             HashModel.from_table([], 2)
+
+    @pytest.mark.parametrize(
+        "table",
+        [[0, 1.5], [0.0, 0.99], np.array([0.0, np.nan]), np.array([False, True]), ["0", "1"]],
+    )
+    def test_non_integer_table_entries_rejected(self, table):
+        # asarray(dtype=int64) would truncate 1.5 to 1 and 0.99 to 0.
+        with pytest.raises(ValueError, match="integers"):
+            HashModel.from_table(table, 2)
+
+    def test_integral_float_table_entries_accepted(self):
+        h = HashModel.from_table(np.array([0.0, 1.0, 1.0]), 2)
+        assert h.table.dtype == np.int64 and h.table.tolist() == [0, 1, 1]
 
     def test_size_guardrails(self):
         with pytest.raises(ValueError):
@@ -155,6 +168,21 @@ class TestSlotCounts:
             count_slots(both, h).counts,
             count_slots(a, h).counts + count_slots(b, h).counts,
         )
+
+    @pytest.mark.parametrize("hash_mode", ["identity", "table"])
+    @pytest.mark.parametrize("universe", [1, 7, 100, 8 * 500, 8 * 500 + 1, 10**5])
+    def test_distinct_counts_match_unique_route(self, hash_mode, universe):
+        # 500 keys: universes up to 8 * 500 take the bincount route, larger ones np.unique.
+        if hash_mode == "identity":
+            h = HashModel.identity(universe)
+        else:
+            h = HashModel.random_table(universe, 13, 4)
+        keys = sample(make_zipf(universe, 1.0), 8, 500).keys
+        # The sequence may declare a smaller universe than the hash's.
+        for declared in (universe, int(keys.max()) + 1, min(universe, 5)):
+            x = KeySequence(keys % declared, declared)
+            expected = np.bincount(h.slots_of(np.unique(x.keys)), minlength=h.slots)
+            assert np.array_equal(distinct_counts(x, h).counts, expected)
 
     def test_out_of_range_keys_rejected(self):
         x = KeySequence([20], 32)
