@@ -18,7 +18,7 @@ from typing import Any
 
 from . import bounds, experiments, rng, search_time
 from .estimator import empirical_collision_probability, relative_error
-from .hashing import HashModel, count_slots, slot_probabilities
+from .hashing import count_slots, slot_probabilities
 from .probability import KeySequence, norm_sq, sample
 
 
@@ -65,16 +65,16 @@ def _resolve_m(args) -> int:
 
 
 def _hash_and_dist(args):
-    if args.hash == "identity":
-        h = HashModel.identity(args.n)
-    elif args.hash == "random-table":
+    hash_spec = {"mode": args.hash}
+    if args.hash == "random-table":
         if args.universe is None:
             raise UsageError("--hash random-table requires --universe")
-        h = HashModel.random_table(args.universe, args.n, args.table_seed)
-    else:
+        hash_spec.update(universe=args.universe, seed=args.table_seed)
+    elif args.hash == "table-file":
         if args.table_file is None:
             raise UsageError("--hash table-file requires --table-file")
-        h = HashModel.from_file(args.table_file, args.n)
+        hash_spec["path"] = args.table_file
+    h = experiments.hash_from_spec(hash_spec, args.n)
     spec = {"name": args.dist}
     if args.dist == "zipf":
         spec["exponent"] = args.zipf_exp
@@ -248,10 +248,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_perturbation_check(args) -> int:
-    if args.universe is None:
-        h = HashModel.identity(args.n)
-    else:
-        h = HashModel.random_table(args.universe, args.n, args.table_seed)
+    hash_spec = {"mode": "identity"}
+    if args.universe is not None:
+        hash_spec = {"mode": "random-table", "universe": args.universe, "seed": args.table_seed}
+    h = experiments.hash_from_spec(hash_spec, args.n)
     q = experiments.distribution_from_spec({"name": "uniform"}, h.universe)
     violations = 0
     for t in range(args.trials):

@@ -14,8 +14,10 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
+
+import numpy as np
 
 from . import rng, search_time
 from .bounds import (
@@ -44,39 +46,86 @@ from .probability import (
 RECORD_CAP = 10**6
 RESERVOIR_SIZE = 10**4
 
-# Stream tag for reservoir-replacement decisions, far outside any trial index.
+# Stream tag for reservoir-replacement decisions, far outside any trial index,
+# and how many of its doubles are drawn at a time.
 _RESERVOIR_TAG = 0x7265736572766F69
+_RESERVOIR_BLOCK = 2**16
 
 CSV_HEADER = ("trial", "value", "rel_error", "violation")
 
-DIST_NAMES = ("uniform", "zipf", "restricted", "pointmass")
-HASH_MODES = ("identity", "random-table", "table-file")
+# Spec keys beside the name, with their defaults; None marks a required key.
+# Bound keys are listed in the argument order of their bound functions.
+_DISTRIBUTIONS = {
+    "uniform": {},
+    "zipf": {"exponent": 1.0},
+    "restricted": {"alpha": None},
+    "pointmass": {"index": 0},
+}
+_HASH_MODES = {
+    "identity": {},
+    "random-table": {"universe": None, "seed": 0},
+    "table-file": {"path": None},
+}
+_COLLISION_BOUNDS = {
+    "load-factor": {"epsilon": None},
+    "gaussian": {"epsilon": None, "delta": None, "s": None},
+    "simplified-gaussian": {"epsilon": None, "delta": None},
+    "polynomial": {"beta": None, "lambda": None},
+    "exponent-form": {"beta": None, "lambda": None},
+}
+_AST_BOUNDS = {"eps-form": {"epsilon": None}, "margin-form": {"s": None}}
+
+DIST_NAMES = tuple(_DISTRIBUTIONS)
+HASH_MODES = tuple(_HASH_MODES)
+
+
+def _check_keys(data: Mapping[str, Any], required, allowed, what: str) -> None:
+    """Reject a mapping with a key outside ``allowed`` or without one in ``required``."""
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = set(required) - set(data)
+    if missing:
+        raise ValueError(f"missing {what} keys: {sorted(missing)}")
+
+
+def _spec_fields(spec: Mapping[str, Any], tag: str, what: str, schema) -> tuple[str, dict]:
+    """The name a spec gives under ``tag``, and its other keys with defaults filled in.
+
+    A name outside ``schema``, a missing required key or a key the name does
+    not take raises ValueError naming it.
+    """
+    name = spec.get(tag)
+    if type(name) is not str or name not in schema:
+        raise ValueError(f"unknown {what} {tag} {name!r}; expected one of {tuple(schema)}")
+    given = {key: value for key, value in spec.items() if key != tag}
+    keys = schema[name]
+    required = [key for key, default in keys.items() if default is None]
+    _check_keys(given, required, keys, f"{what} {name!r}")
+    return name, {**keys, **given}
 
 
 def distribution_from_spec(spec: Mapping[str, Any], size: int) -> ProbabilityVector:
     """Build a named distribution over ``size`` outcomes from a config mapping."""
-    name = spec.get("name")
-    if name == "uniform":
-        return make_uniform(size)
+    name, fields = _spec_fields(spec, "name", "distribution", _DISTRIBUTIONS)
     if name == "zipf":
-        return make_zipf(size, float(spec.get("exponent", 1.0)))
+        return make_zipf(size, float(fields["exponent"]))
     if name == "restricted":
-        return make_restricted_uniform(size, float(spec["alpha"]))
+        return make_restricted_uniform(size, float(fields["alpha"]))
     if name == "pointmass":
-        return make_point_mass(size, int(spec.get("index", 0)))
-    raise ValueError(f"unknown distribution name {name!r}; expected one of {DIST_NAMES}")
+        return make_point_mass(size, _config_int(fields, "index"))
+    return make_uniform(size)
 
 
 def hash_from_spec(spec: Mapping[str, Any], n: int) -> HashModel:
     """Build a hash model from a config mapping (identity / random / file table)."""
-    mode = spec.get("mode")
-    if mode == "identity":
-        return HashModel.identity(n)
+    mode, fields = _spec_fields(spec, "mode", "hash", _HASH_MODES)
     if mode == "random-table":
-        return HashModel.random_table(int(spec["universe"]), n, int(spec.get("seed", 0)))
+        universe, seed = _config_int(fields, "universe"), _config_int(fields, "seed")
+        return HashModel.random_table(universe, n, seed)
     if mode == "table-file":
-        return HashModel.from_file(spec["path"], n)
-    raise ValueError(f"unknown hash mode {mode!r}; expected one of {HASH_MODES}")
+        return HashModel.from_file(fields["path"], n)
+    return HashModel.identity(n)
 
 
 _CONFIG_KEYS = {
@@ -132,14 +181,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"kind", "n", "m", "trials", "base_seed", "distribution", "hash", "bound"} - set(
-            data
-        )
-        if missing:
-            raise ValueError(f"missing config keys: {sorted(missing)}")
+        required = ("kind", "n", "m", "trials", "base_seed", "distribution", "hash", "bound")
+        _check_keys(data, required, _CONFIG_KEYS, "config")
         return cls(
             kind=data["kind"],
             n=_config_int(data, "n"),
@@ -211,29 +254,6 @@ class _Welford:
         return math.sqrt(self._m2 / (self.count - 1))
 
 
-class _Reservoir:
-    """Classic reservoir sample, driven by its own deterministic stream."""
-
-    __slots__ = ("capacity", "seed", "items", "seen")
-
-    def __init__(self, capacity: int, seed: int):
-        self.capacity = capacity
-        self.seed = seed
-        self.items: list[TrialRecord] = []
-        self.seen = 0
-
-    def offer(self, record: TrialRecord) -> None:
-        t = self.seen
-        self.seen += 1
-        if len(self.items) < self.capacity:
-            self.items.append(record)
-            return
-        u = float(rng.stream_doubles(self.seed, 1, offset=t)[0])
-        j = int(u * (t + 1))
-        if j < self.capacity:
-            self.items[j] = record
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     """Per-trial records plus aggregates for one run.
@@ -279,38 +299,88 @@ class ExperimentReport:
 
 def resolve_collision_bound(spec: Mapping[str, Any], n: int, m: int) -> DeviationBound:
     """Evaluate the configured deviation bound (validates its preconditions)."""
-    name = spec.get("name")
+    name, fields = _spec_fields(spec, "name", "collision bound", _COLLISION_BOUNDS)
+    args = [float(value) for value in fields.values()]
     if name == "load-factor":
-        return load_factor_bound(float(spec["epsilon"]), m / n)
+        return load_factor_bound(*args, m / n)
     if name == "gaussian":
-        return gaussian_tail_bound(n, float(spec["epsilon"]), float(spec["delta"]), float(spec["s"]))
+        return gaussian_tail_bound(n, *args)
     if name == "simplified-gaussian":
-        return simplified_gaussian_bound(n, float(spec["epsilon"]), float(spec["delta"]))
+        return simplified_gaussian_bound(n, *args)
     if name == "polynomial":
-        return polynomial_tail_bound(n, float(spec["beta"]), float(spec["lambda"]))
-    if name == "exponent-form":
-        return exponent_form_bound(n, float(spec["beta"]), float(spec["lambda"]))
-    raise ValueError(f"unknown collision bound name {name!r}")
+        return polynomial_tail_bound(n, *args)
+    return exponent_form_bound(n, *args)
 
 
 def resolve_ast_bound(
     spec: Mapping[str, Any], L: float, n: int, v_norm: float, p_norm: float
 ) -> search_time.SearchTimeBound:
     """Evaluate the configured search-time bound from measured norms."""
-    name = spec.get("name")
+    name, fields = _spec_fields(spec, "name", "search-time bound", _AST_BOUNDS)
     if name == "eps-form":
-        return search_time.search_time_bound_eps(L, n, v_norm, p_norm, float(spec["epsilon"]))
-    if name == "margin-form":
-        return search_time.search_time_bound_margin(L, n, v_norm, p_norm, float(spec["s"]))
-    raise ValueError(f"unknown search-time bound name {name!r}")
+        return search_time.search_time_bound_eps(L, n, v_norm, p_norm, float(fields["epsilon"]))
+    return search_time.search_time_bound_margin(L, n, v_norm, p_norm, float(fields["s"]))
 
 
-def _record_sink(trials: int, base_seed: int, record_cap: int, reservoir_size: int):
+def _kept_trials(trials: int, base_seed: int, record_cap: int, reservoir_size: int):
+    """The trials whose records a run keeps, in trial order.
+
+    Up to ``record_cap`` trials a run keeps them all.  Past it, it keeps the
+    reservoir sample of Vitter's Algorithm R: trials 0..size-1 fill the slots,
+    and trial t >= size takes slot ``int(u_t * (t + 1))`` when that is below
+    the size, where u_t is double t of the stream seeded with
+    ``trial_seed(base_seed, _RESERVOIR_TAG)``; a later trial overwrites an
+    earlier one.  The doubles are drawn ``_RESERVOIR_BLOCK`` at a time.
+    """
     if trials <= record_cap:
-        records: list[TrialRecord] = []
-        return records, records.append
-    reservoir = _Reservoir(reservoir_size, rng.trial_seed(base_seed, _RESERVOIR_TAG))
-    return reservoir.items, reservoir.offer
+        return range(trials)
+    slots = np.arange(min(trials, reservoir_size))
+    seed = rng.trial_seed(base_seed, _RESERVOIR_TAG)
+    for start in range(slots.size, trials, _RESERVOIR_BLOCK):
+        t = np.arange(start, min(start + _RESERVOIR_BLOCK, trials))
+        j = (rng.stream_doubles(seed, t.size, offset=start) * (t + 1)).astype(np.int64)
+        hit = j < slots.size
+        np.maximum.at(slots, j[hit], t[hit])  # the last writer has the largest t
+    return np.sort(slots).tolist()
+
+
+def _run_trials(
+    q: ProbabilityVector, m: int, trials: int, base_seed: int, measure, kept, aux_field: str
+):
+    """Draw and measure every trial; returns (value stats, aux stats, violations, records).
+
+    Trial t samples m keys from ``q`` with the seed ``trial_seed(base_seed, t)``
+    and passes them to ``measure``, which returns (value, aux, violation).  The
+    trials in ``kept`` (in trial order) leave a record with the aux figure in
+    its field ``aux_field``.
+    """
+    cdf, guide = q.cdf, q.guide
+    stats, aux_stats = _Welford(), _Welford()
+    violations = 0
+    records = []
+    kept = iter(kept)
+    keep = next(kept, None)
+    for t in range(trials):
+        keys = sample_from_cdf(cdf, rng.trial_seed(base_seed, t), m, guide)
+        value, aux, violation = measure(KeySequence(keys, len(q)))
+        violations += violation
+        stats.add(value)
+        aux_stats.add(aux)
+        if t == keep:
+            records.append(TrialRecord(t, value, violation, **{aux_field: aux}))
+            keep = next(kept, None)
+    return stats, aux_stats, violations, tuple(records)
+
+
+def _collision_measure(h: HashModel, p_norm_sq: float, ceiling: float):
+    """The empirical collision probability, its relative error, and error > ceiling."""
+
+    def measure(x: KeySequence):
+        est = empirical_collision_probability(count_slots(x, h))
+        rel = relative_error(est, p_norm_sq)
+        return est.empirical_cp, rel, rel > ceiling
+
+    return measure
 
 
 def run_collision_trials(
@@ -330,22 +400,14 @@ def run_collision_trials(
     start = time.perf_counter()
     h = hash_from_spec(cfg.hash_spec, cfg.n)
     q = distribution_from_spec(cfg.distribution, h.universe)
-    p = slot_probabilities(q, h)
-    p_norm_sq = norm_sq(p)
+    p_norm_sq = norm_sq(slot_probabilities(q, h))
     bound = resolve_collision_bound(cfg.bound, cfg.n, cfg.m)
 
-    cdf, guide = q.cdf, q.guide
-    records, emit = _record_sink(cfg.trials, cfg.base_seed, record_cap, reservoir_size)
-    stats = _Welford()
-    violations = 0
-    for t in range(cfg.trials):
-        keys = sample_from_cdf(cdf, rng.trial_seed(cfg.base_seed, t), cfg.m, guide)
-        est = empirical_collision_probability(count_slots(KeySequence(keys, len(q)), h))
-        rel = relative_error(est, p_norm_sq)
-        violation = rel > bound.error_bound
-        violations += violation
-        stats.add(est.empirical_cp)
-        emit(TrialRecord(trial=t, value=est.empirical_cp, violation=violation, rel_error=rel))
+    kept = _kept_trials(cfg.trials, cfg.base_seed, record_cap, reservoir_size)
+    measure = _collision_measure(h, p_norm_sq, bound.error_bound)
+    stats, _, violations, records = _run_trials(
+        q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "rel_error"
+    )
     aggregates = {
         "trials": cfg.trials,
         "mean": stats.mean,
@@ -356,15 +418,9 @@ def run_collision_trials(
     }
     return ExperimentReport(
         config=cfg,
-        bound={
-            "kind": "deviation",
-            "error_bound": bound.error_bound,
-            "confidence": bound.confidence,
-            "vacuous": bound.vacuous,
-            "underflow": bound.underflow,
-        },
+        bound={"kind": "deviation", **asdict(bound)},
         aggregates=aggregates,
-        records=tuple(sorted(records, key=lambda r: r.trial)),
+        records=records,
         duration_seconds=time.perf_counter() - start,
     )
 
@@ -392,28 +448,14 @@ def run_ast_trials(
         cfg.bound, L, h.slots, math.sqrt(norm_sq(v)), math.sqrt(norm_sq(p))
     )
 
-    cdf, guide = q.cdf, q.guide
-    records, emit = _record_sink(cfg.trials, cfg.base_seed, record_cap, reservoir_size)
-    upper_stats = _Welford()
-    exact_stats = _Welford()
-    violations = 0
-    for t in range(cfg.trials):
-        keys = sample_from_cdf(cdf, rng.trial_seed(cfg.base_seed, t), cfg.m, guide)
-        x = KeySequence(keys, len(q))
+    def measure(x: KeySequence):
         upper = search_time.search_time_upper(v, count_slots(x, h))
-        exact = search_time.average_search_time(v, x, h)
-        violation = upper > bound.value
-        violations += violation
-        upper_stats.add(upper)
-        exact_stats.add(exact)
-        emit(
-            TrialRecord(
-                trial=t,
-                value=upper,
-                violation=violation,
-                ast_exact=exact,
-            )
-        )
+        return upper, search_time.average_search_time(v, x, h), upper > bound.value
+
+    kept = _kept_trials(cfg.trials, cfg.base_seed, record_cap, reservoir_size)
+    upper_stats, exact_stats, violations, records = _run_trials(
+        q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "ast_exact"
+    )
     aggregates = {
         "trials": cfg.trials,
         "mean": upper_stats.mean,
@@ -424,9 +466,9 @@ def run_ast_trials(
     }
     return ExperimentReport(
         config=cfg,
-        bound={"kind": "search-time", "value": bound.value, "confidence": bound.confidence},
+        bound={"kind": "search-time", **asdict(bound)},
         aggregates=aggregates,
-        records=tuple(sorted(records, key=lambda r: r.trial)),
+        records=records,
         duration_seconds=time.perf_counter() - start,
     )
 
@@ -498,30 +540,15 @@ def unbiasedness_check(
         raise ValueError("m must be at least 2")
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    p = slot_probabilities(dist, h)
-    p_norm_sq = norm_sq(p)
-    cdf, guide = dist.cdf, dist.guide
-    stats = _Welford()
-    for t in range(trials):
-        keys = sample_from_cdf(cdf, rng.trial_seed(base_seed, t), m, guide)
-        est = empirical_collision_probability(count_slots(KeySequence(keys, len(dist)), h))
-        stats.add(est.empirical_cp)
+    p_norm_sq = norm_sq(slot_probabilities(dist, h))
+    measure = _collision_measure(h, p_norm_sq, math.inf)
+    stats = _run_trials(dist, m, trials, base_seed, measure, (), "rel_error")[0]
     std = stats.sample_std
-    if std == 0.0:
-        return UnbiasednessResult(
-            sample_mean=stats.mean,
-            p_norm_sq=p_norm_sq,
-            z_score=math.nan,
-            sample_std=0.0,
-            trials=trials,
-            exact_match=stats.mean == p_norm_sq,
-        )
-    z = (stats.mean - p_norm_sq) / (std / math.sqrt(trials))
     return UnbiasednessResult(
         sample_mean=stats.mean,
         p_norm_sq=p_norm_sq,
-        z_score=z,
+        z_score=(stats.mean - p_norm_sq) / (std / math.sqrt(trials)) if std else math.nan,
         sample_std=std,
         trials=trials,
-        exact_match=False,
+        exact_match=std == 0.0 and stats.mean == p_norm_sq,
     )

@@ -9,6 +9,8 @@ genuine many-to-one hashing).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import rng
@@ -88,11 +90,19 @@ class HashModel:
 
     @classmethod
     def from_file(cls, path, n: int) -> "HashModel":
-        """Load a fixed table: one decimal slot index per line, line number = key."""
+        """Load a fixed table: one decimal slot index per line, line number = key.
+
+        Only the first ``MAX_SIZE + 1`` lines are kept, and the rest of the
+        file is only scanned for a non-blank line, so an oversized file is
+        rejected before any of it is parsed.
+        """
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            lines = list(itertools.islice(fh, MAX_SIZE + 1))
+            beyond = any(line.strip() for line in fh)
         while lines and not lines[-1].strip():
             lines.pop()
+        if beyond or len(lines) > MAX_SIZE:
+            raise ValueError(f"table file {path!r} exceeds the maximum supported size 2**24")
         if not lines:
             raise ValueError(f"table file {path!r} is empty")
         try:

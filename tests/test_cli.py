@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from chainhash import experiments
 from chainhash.cli import fmt, main
+from chainhash.hashing import HashModel
 
 
 def run(capsys, *argv):
@@ -63,6 +66,41 @@ class TestEstimate:
         )
         assert code == 0
         assert 0.0 <= json.loads(out)["empirical_cp"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "mode, flag", [("random-table", "--universe"), ("table-file", "--table-file")]
+    )
+    def test_hash_mode_without_its_flag_is_usage_error(self, capsys, mode, flag):
+        code, out, err = run(capsys, "estimate", "--n", "8", "--m", "20", "--hash", mode)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: --hash {mode} requires {flag}\n"
+
+    def test_random_table_output(self, capsys):
+        code, out, err = run(
+            capsys,
+            "estimate", "--n", "8", "--m", "200", "--seed", "3", "--hash", "random-table",
+            "--universe", "256", "--table-seed", "5", "--dist", "zipf", "--zipf-exp", "1.3",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "empirical_cp 0.177186\np_norm_sq 0.186150\nrel_error 0.0481535\n"
+            "collision_pairs 3526\nm 200\n"
+        )
+
+    def test_table_file_output(self, capsys, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("0\n1\n1\n0\n2\n")
+        code, out, err = run(
+            capsys,
+            "estimate", "--n", "3", "--m", "40", "--seed", "1", "--hash", "table-file",
+            "--table-file", str(path), "--dist", "restricted", "--alpha", "0.5",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "empirical_cp 0.492308\np_norm_sq 0.500000\nrel_error 0.0153846\n"
+            "collision_pairs 384\nm 40\n"
+        )
 
 
 class TestBound:
@@ -225,6 +263,28 @@ class TestExperimentCommand:
         assert code == 1
         assert "'n' must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "spec_key, spec, named",
+        [
+            ("hash", {"mode": "random-table"}, "universe"),
+            ("hash", {"mode": "random-table", "universe": 1000.7}, "universe"),
+            ("hash", {"mode": "random-table", "universe": 1000, "seed": True}, "seed"),
+            ("distribution", {"name": "zipf", "exponnt": 3.0}, "exponnt"),
+        ],
+    )
+    def test_bad_nested_spec_is_domain_error(self, tmp_path, capsys, spec_key, spec, named):
+        cfg = {
+            "kind": "collision", "n": 64, "m": 640, "trials": 5, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3},
+        }
+        cfg[spec_key] = spec
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and repr(named) in err
+
 
 class TestPerturbationCommand:
     def test_reports_zero_violations(self, capsys):
@@ -234,6 +294,25 @@ class TestPerturbationCommand:
         )
         assert code == 0
         assert "violations 0" in out
+
+    def test_universe_hashes_through_a_random_table(self, capsys, monkeypatch):
+        seen = []
+        check = experiments.slot_count_perturbation
+
+        def spy(x, y, h):
+            seen.append(h)
+            return check(x, y, h)
+
+        monkeypatch.setattr(experiments, "slot_count_perturbation", spy)
+        argv = ["perturbation-check", "--n", "16", "--m", "50", "--trials", "300", "--seed", "3",
+                "--universe", "64", "--table-seed", "2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "pairs 300\nviolations 0\n", "")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, json.loads(out), err) == (0, {"pairs": 300, "violations": 0}, "")
+        expected = HashModel.random_table(64, 16, 2).table
+        assert len(seen) == 600
+        assert all(np.array_equal(h.table, expected) for h in seen)
 
 
 def test_usage_errors_exit_two(capsys):

@@ -13,6 +13,8 @@ from chainhash.experiments import (
     PerturbationCheck,
     distribution_from_spec,
     hash_from_spec,
+    resolve_ast_bound,
+    resolve_collision_bound,
     run_ast_trials,
     run_collision_trials,
     run_experiment,
@@ -104,6 +106,85 @@ class TestConfig:
             distribution_from_spec({"name": "gauss"}, 8)
         with pytest.raises(ValueError):
             hash_from_spec({"mode": "open-addressing"}, 8)
+
+
+class TestSpecBoundary:
+    """Nested specs are checked where they are built: no key is guessed or truncated."""
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"mode": "random-table"}, "universe"),
+            ({"mode": "random-table", "universe": 1000.7}, "universe"),
+            ({"mode": "random-table", "universe": "1000"}, "universe"),
+            ({"mode": "random-table", "universe": 1000, "seed": True}, "seed"),
+            ({"mode": "random-table", "universe": 1000, "seed": 1.5}, "seed"),
+            ({"mode": "random-table", "universe": 1000, "path": "t.txt"}, "path"),
+            ({"mode": "identity", "universe": 1000}, "universe"),
+            ({"mode": "table-file"}, "path"),
+            ({"mode": "table-file", "path": "t.txt", "seed": 1}, "seed"),
+        ],
+    )
+    def test_hash_spec_rejected(self, spec, named):
+        with pytest.raises(ValueError, match=repr(named)):
+            hash_from_spec(spec, 8)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"name": "zipf", "exponnt": 3.0}, "exponnt"),
+            ({"name": "uniform", "alpha": 0.1}, "alpha"),
+            ({"name": "restricted"}, "alpha"),
+            ({"name": "restricted", "alpha": 0.1, "index": 2}, "index"),
+            ({"name": "pointmass", "index": 2.5}, "index"),
+            ({"name": "pointmass", "index": False}, "index"),
+        ],
+    )
+    def test_distribution_spec_rejected(self, spec, named):
+        with pytest.raises(ValueError, match=repr(named)):
+            distribution_from_spec(spec, 8)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"name": "load-factor"}, "epsilon"),
+            ({"name": "load-factor", "epsilon": 0.15, "delta": 0.1}, "delta"),
+            ({"name": "gaussian", "epsilon": 0.15, "delta": 0.1}, "s"),
+            ({"name": "polynomial", "beta": 1.0, "lam": 1.0}, "lam"),
+        ],
+    )
+    def test_collision_bound_spec_rejected(self, spec, named):
+        with pytest.raises(ValueError, match=repr(named)):
+            resolve_collision_bound(spec, 64, 6400)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"name": "eps-form"}, "epsilon"),
+            ({"name": "eps-form", "epsilon": 0.15, "s": 2.0}, "s"),
+            ({"name": "margin-form"}, "s"),
+            ({"name": "margin-form", "epsilon": 0.15}, "epsilon"),
+        ],
+    )
+    def test_ast_bound_spec_rejected(self, spec, named):
+        with pytest.raises(ValueError, match=repr(named)):
+            resolve_ast_bound(spec, 100.0, 100, 0.3, 0.1)
+
+    def test_integral_floats_accepted_as_integers(self):
+        a = hash_from_spec({"mode": "random-table", "universe": 1000.0, "seed": 3.0}, 8)
+        b = hash_from_spec({"mode": "random-table", "universe": 1000, "seed": 3}, 8)
+        assert a.universe == 1000 and np.array_equal(a.table, b.table)
+        q = distribution_from_spec({"name": "pointmass", "index": 2.0}, 8)
+        assert q.weights[2] == 1.0
+
+    def test_optional_keys_keep_their_defaults(self):
+        h = hash_from_spec({"mode": "random-table", "universe": 100}, 8)
+        assert np.array_equal(h.table, HashModel.random_table(100, 8, 0).table)
+        assert np.array_equal(
+            distribution_from_spec({"name": "zipf"}, 8).weights,
+            distribution_from_spec({"name": "zipf", "exponent": 1.0}, 8).weights,
+        )
+        assert distribution_from_spec({"name": "pointmass"}, 8).weights[0] == 1.0
 
 
 class TestCollisionTrials:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chainhash import rng
+from chainhash import hashing, rng
 from chainhash.hashing import (
     MAX_SIZE,
     HashModel,
@@ -94,6 +94,29 @@ class TestTableFile:
         empty.write_text("")
         with pytest.raises(ValueError):
             HashModel.from_file(empty, 2)
+
+    def test_oversized_file_rejected_before_parsing(self, tmp_path, monkeypatch):
+        # With the cap at 4, the fifth entry already exceeds it, so the line
+        # after it must never be parsed.
+        monkeypatch.setattr(hashing, "MAX_SIZE", 4)
+        path = tmp_path / "table.txt"
+        path.write_text("0\n1\n0\n1\n0\nx\n")
+        with pytest.raises(ValueError, match="exceeds"):
+            HashModel.from_file(path, 2)
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n\n"])
+    def test_file_at_the_cap_accepted(self, tmp_path, monkeypatch, tail):
+        monkeypatch.setattr(hashing, "MAX_SIZE", 4)
+        path = tmp_path / "table.txt"
+        path.write_text("0\n1\n0\n1" + tail)
+        assert HashModel.from_file(path, 2).universe == 4
+
+    def test_entry_after_blank_lines_past_the_cap_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hashing, "MAX_SIZE", 4)
+        path = tmp_path / "table.txt"
+        path.write_text("0\n1\n0\n1\n\n\n1\n")
+        with pytest.raises(ValueError):
+            HashModel.from_file(path, 2)
 
 
 class TestSlotProbabilities:

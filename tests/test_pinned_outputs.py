@@ -1,0 +1,140 @@
+"""Pinned sha256 digests of Monte Carlo outputs.
+
+Each run below is small and fixed.  Its canonical aggregates JSON, CSV
+bytes, ``repr`` of the kept records and ``repr`` of the evaluated bound
+must hash to the digests recorded here, which were taken from the
+per-kind trial loops before they became one.  Criterion 9 only compares two
+reruns of the same code; these digests catch a change in any output byte
+between versions, including which trials a capped run keeps.
+"""
+
+import hashlib
+
+import pytest
+
+from chainhash.experiments import (
+    ExperimentConfig,
+    distribution_from_spec,
+    hash_from_spec,
+    run_experiment,
+    unbiasedness_check,
+)
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def collision(distribution, hash_spec, trials=50):
+    return {
+        "kind": "collision", "n": 64, "m": 640, "trials": trials, "base_seed": 123,
+        "distribution": distribution, "hash": hash_spec,
+        "bound": {"name": "load-factor", "epsilon": 0.33},
+    }
+
+
+AST_RESTRICTED = {
+    "kind": "ast", "n": 100, "m": 2000, "trials": 40, "base_seed": 9,
+    "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+    "access_pattern": {"name": "restricted", "alpha": 0.1},
+    "bound": {"name": "eps-form", "epsilon": 0.15},
+}
+UNIFORM = collision({"name": "uniform"}, {"mode": "identity"})
+CAPPED = collision({"name": "uniform"}, {"mode": "identity"}, trials=150)
+
+# name -> (config, record_cap, reservoir_size)
+RUNS = {
+    "collision-uniform-identity": (UNIFORM, 10**6, 10**4),
+    "collision-zipf-random-table": (
+        collision(
+            {"name": "zipf", "exponent": 1.0},
+            {"mode": "random-table", "universe": 4096, "seed": 7},
+        ),
+        10**6,
+        10**4,
+    ),
+    "ast-restricted": (AST_RESTRICTED, 10**6, 10**4),
+    "capped-reservoir-20": (CAPPED, 100, 20),
+    "capped-reservoir-500": (CAPPED, 100, 500),
+    "capped-reservoir-200": (CAPPED, 100, 200),
+}
+
+# name -> sha256 of (aggregates_json, csv bytes, repr(records), repr(bound))
+PINNED = {
+    "ast-restricted": (
+        "d2e5c2ac5f020209d1b33cdd3557da9b7248a89257639cab9970684237229ee9",
+        "703dbc89986b68556a27afc131b449c220f37f5e0681ee4403e675a7ad1a4d45",
+        "13d3f6b9fa673b352900af21edb245d35fa7130f1a66aebabfdad6827a8ae227",
+        "5bb793d370db26e3bc26787eda673a01840bfee1f406fdee88807db070492735",
+    ),
+    "capped-reservoir-20": (
+        "3b85d8b99d190455bda94a0bac7660c0623f06ad2845ab66d4be40ba696715ab",
+        "75daffe3560053c8001414714b02f8b670c204b1e29913003dfc9c231fefca7e",
+        "b682ca034e61c5f8a272b9b66775fcc432accb89b47fca1b85d2040f1ff2a4b4",
+        "53a839dab84db263a9a62bc1a90c42a29233f2e5dbfcbb7b508a1514caba3aa5",
+    ),
+    "capped-reservoir-200": (
+        "3b85d8b99d190455bda94a0bac7660c0623f06ad2845ab66d4be40ba696715ab",
+        "f23bb028a0d9e6c9d7e4ca4600eee1fba86c15d27556929978062e90e085f311",
+        "233aecccd18550a2d57b43fbd81b6cfd1408dc9bcc805b32bf3dc91b39432966",
+        "53a839dab84db263a9a62bc1a90c42a29233f2e5dbfcbb7b508a1514caba3aa5",
+    ),
+    "capped-reservoir-500": (
+        "3b85d8b99d190455bda94a0bac7660c0623f06ad2845ab66d4be40ba696715ab",
+        "f23bb028a0d9e6c9d7e4ca4600eee1fba86c15d27556929978062e90e085f311",
+        "233aecccd18550a2d57b43fbd81b6cfd1408dc9bcc805b32bf3dc91b39432966",
+        "53a839dab84db263a9a62bc1a90c42a29233f2e5dbfcbb7b508a1514caba3aa5",
+    ),
+    "collision-uniform-identity": (
+        "3c7ca6fe34196c9246d44315309fa80f3853dce842289168e12e8fcb28288454",
+        "01cfca9b4a13e08e0b17dc467bb6466f2db646160eda2c45ad75da83a7b0e630",
+        "517d2f05855e8de9ef5b435371c618f6ab28faaae461a4d25f86ad4f6f58a4fe",
+        "53a839dab84db263a9a62bc1a90c42a29233f2e5dbfcbb7b508a1514caba3aa5",
+    ),
+    "collision-zipf-random-table": (
+        "77c883e6947394d84479bbf011e51d04fa9a60b11c0e6f2f5338ca1130b3a3a0",
+        "554896eb0d254f314113e43b7ba5b2d5a4cacf077dbba459c2fafd760a3e8777",
+        "b1e8cd88a07b36677b078ad091635770d7827a63dc7253f3c19c852352dc4a15",
+        "53a839dab84db263a9a62bc1a90c42a29233f2e5dbfcbb7b508a1514caba3aa5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_outputs_match_pinned_digests(name, tmp_path):
+    data, record_cap, reservoir_size = RUNS[name]
+    path = tmp_path / "trials.csv"
+    report = run_experiment(
+        ExperimentConfig.from_dict({**data, "csv": str(path)}), record_cap, reservoir_size
+    )
+    got = (
+        sha(report.aggregates_json()),
+        sha(path.read_bytes()),
+        sha(repr(report.records)),
+        sha(repr(report.bound)),
+    )
+    assert got == PINNED[name]
+
+
+# name -> (distribution spec, n, m, trials, base_seed)
+UNBIASEDNESS = {
+    "uniform-64": ({"name": "uniform"}, 64, 1024, 2000, 11),
+    "zipf-64": ({"name": "zipf", "exponent": 1.0}, 64, 100, 500, 21),
+    "pointmass-16": ({"name": "pointmass"}, 16, 10, 200, 4),
+}
+
+PINNED_UNBIASEDNESS = {
+    "pointmass-16": "6b07855cd13ea3acdc6d93b0f2481fd752e3e7bf79be4778a113d31808e149ba",
+    "uniform-64": "cadb9c1ca2b8be9fe7e4f3599b37af0063016fd97474f24b392803a3d2cdf830",
+    "zipf-64": "3cc2dde85fe1137f3847709cda1710f4964742f7e783f12de48f2437a4ac5e82",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBIASEDNESS))
+def test_unbiasedness_matches_pinned_digest(name):
+    spec, n, m, trials, base_seed = UNBIASEDNESS[name]
+    h = hash_from_spec({"mode": "identity"}, n)
+    result = unbiasedness_check(distribution_from_spec(spec, n), h, m, trials, base_seed)
+    assert sha(repr(result)) == PINNED_UNBIASEDNESS[name]
