@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
@@ -45,6 +46,11 @@ from .probability import (
 # report holds a reservoir sample instead (aggregates always cover all trials).
 RECORD_CAP = 10**6
 RESERVOIR_SIZE = 10**4
+
+# Trials are drawn in blocks of max(1, _BLOCK_DRAWS // m) with one stream and
+# one sampler call per block, which shares the fixed cost of those calls
+# among short trials.  The rows are the per-trial draws, so no output moves.
+_BLOCK_DRAWS = 2**13
 
 # Stream tag for reservoir-replacement decisions, far outside any trial index,
 # and how many of its doubles are drawn at a time.
@@ -109,9 +115,9 @@ def distribution_from_spec(spec: Mapping[str, Any], size: int) -> ProbabilityVec
     """Build a named distribution over ``size`` outcomes from a config mapping."""
     name, fields = _spec_fields(spec, "name", "distribution", _DISTRIBUTIONS)
     if name == "zipf":
-        return make_zipf(size, float(fields["exponent"]))
+        return make_zipf(size, _config_float(fields, "exponent"))
     if name == "restricted":
-        return make_restricted_uniform(size, float(fields["alpha"]))
+        return make_restricted_uniform(size, _config_float(fields, "alpha"))
     if name == "pointmass":
         return make_point_mass(size, _config_int(fields, "index"))
     return make_uniform(size)
@@ -124,6 +130,8 @@ def hash_from_spec(spec: Mapping[str, Any], n: int) -> HashModel:
         universe, seed = _config_int(fields, "universe"), _config_int(fields, "seed")
         return HashModel.random_table(universe, n, seed)
     if mode == "table-file":
+        if type(fields["path"]) is not str:  # open() takes an int as a file descriptor
+            raise ValueError(f"config key 'path' must be a string, got {fields['path']!r}")
         return HashModel.from_file(fields["path"], n)
     return HashModel.identity(n)
 
@@ -150,6 +158,16 @@ def _config_int(data: Mapping[str, Any], key: str) -> int:
         value = int(value)
     if type(value) is not int:  # bool is a subclass of int
         raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _config_float(data: Mapping[str, Any], key: str) -> float:
+    """A real config field: an int or a finite float; None, bools and strings are rejected."""
+    value = data[key]
+    if type(value) is int and abs(value) <= sys.float_info.max:  # bool is a subclass of int
+        value = float(value)
+    if type(value) is not float or not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
     return value
 
 
@@ -300,7 +318,7 @@ class ExperimentReport:
 def resolve_collision_bound(spec: Mapping[str, Any], n: int, m: int) -> DeviationBound:
     """Evaluate the configured deviation bound (validates its preconditions)."""
     name, fields = _spec_fields(spec, "name", "collision bound", _COLLISION_BOUNDS)
-    args = [float(value) for value in fields.values()]
+    args = [_config_float(fields, key) for key in fields]
     if name == "load-factor":
         return load_factor_bound(*args, m / n)
     if name == "gaussian":
@@ -318,8 +336,9 @@ def resolve_ast_bound(
     """Evaluate the configured search-time bound from measured norms."""
     name, fields = _spec_fields(spec, "name", "search-time bound", _AST_BOUNDS)
     if name == "eps-form":
-        return search_time.search_time_bound_eps(L, n, v_norm, p_norm, float(fields["epsilon"]))
-    return search_time.search_time_bound_margin(L, n, v_norm, p_norm, float(fields["s"]))
+        epsilon = _config_float(fields, "epsilon")
+        return search_time.search_time_bound_eps(L, n, v_norm, p_norm, epsilon)
+    return search_time.search_time_bound_margin(L, n, v_norm, p_norm, _config_float(fields, "s"))
 
 
 def _kept_trials(trials: int, base_seed: int, record_cap: int, reservoir_size: int):
@@ -352,23 +371,26 @@ def _run_trials(
     Trial t samples m keys from ``q`` with the seed ``trial_seed(base_seed, t)``
     and passes them to ``measure``, which returns (value, aux, violation).  The
     trials in ``kept`` (in trial order) leave a record with the aux figure in
-    its field ``aux_field``.
+    its field ``aux_field``.  Consecutive trials are sampled a block at a
+    time (see ``_BLOCK_DRAWS``) and then measured one by one, in trial order.
     """
     cdf, guide = q.cdf, q.guide
+    block = max(1, _BLOCK_DRAWS // m)
     stats, aux_stats = _Welford(), _Welford()
     violations = 0
     records = []
     kept = iter(kept)
     keep = next(kept, None)
-    for t in range(trials):
-        keys = sample_from_cdf(cdf, rng.trial_seed(base_seed, t), m, guide)
-        value, aux, violation = measure(KeySequence(keys, len(q)))
-        violations += violation
-        stats.add(value)
-        aux_stats.add(aux)
-        if t == keep:
-            records.append(TrialRecord(t, value, violation, **{aux_field: aux}))
-            keep = next(kept, None)
+    for start in range(0, trials, block):
+        seeds = [rng.trial_seed(base_seed, t) for t in range(start, min(start + block, trials))]
+        for t, keys in enumerate(sample_from_cdf(cdf, seeds, m, guide), start):
+            value, aux, violation = measure(KeySequence(keys, len(q)))
+            violations += violation
+            stats.add(value)
+            aux_stats.add(aux)
+            if t == keep:
+                records.append(TrialRecord(t, value, violation, **{aux_field: aux}))
+                keep = next(kept, None)
     return stats, aux_stats, violations, tuple(records)
 
 

@@ -8,7 +8,9 @@ smallest index i with u * cdf[-1] < cdf[i] (the last index if there is
 none), where ``cdf`` is the float64 ``cumsum`` of the weights.  Sequences
 are therefore reproducible bit-for-bit from (vector, seed, count).  The
 search for that index goes through a guide table (Chen & Asau 1974), which
-finds exactly the index the rule names; see :func:`inverse_cdf`.
+finds exactly the index the rule names; see :func:`inverse_cdf`.  The
+sampler also takes a block of seeds and draws one row per seed in a single
+call; each row holds exactly the draws its seed gives on its own.
 """
 
 from __future__ import annotations
@@ -186,12 +188,15 @@ def sample(pv: ProbabilityVector, seed: int, count: int) -> KeySequence:
 
 
 def sample_from_cdf(
-    cdf: np.ndarray, seed: int, count: int, guide: np.ndarray | None = None
+    cdf: np.ndarray, seed, count: int, guide: np.ndarray | None = None
 ) -> np.ndarray:
     """Low-level inverse-CDF sampler over a precomputed cumulative array.
 
     Draws :func:`inverse_cdf` of the first ``count`` doubles of the stream
-    for ``seed``.  Pass ``guide_table(cdf)`` (or :attr:`ProbabilityVector.guide`)
+    for ``seed``.  Given a 1-d sequence of seeds it returns a
+    ``(len(seeds), count)`` block whose row r holds exactly the draws of
+    ``seeds[r]`` alone: the stream rows are unchanged and the search is
+    elementwise.  Pass ``guide_table(cdf)`` (or :attr:`ProbabilityVector.guide`)
     when sampling the same cdf repeatedly; without it each call builds one.
     """
     return inverse_cdf(cdf, rng.stream_doubles(seed, count), guide)
@@ -228,7 +233,8 @@ def guide_table(cdf: np.ndarray) -> np.ndarray:
 def inverse_cdf(cdf: np.ndarray, u: np.ndarray, guide: np.ndarray | None = None) -> np.ndarray:
     """For each u in [0, 1), the smallest i with u * cdf[-1] < cdf[i] (else the last i).
 
-    This is ``min(searchsorted(cdf, u * cdf[-1], "right"), U - 1)``, found
+    The result has the shape of ``u``, and each entry depends on its own u
+    only.  This is ``min(searchsorted(cdf, u * cdf[-1], "right"), U - 1)``, found
     through ``guide = guide_table(cdf)`` (built here if not given) with
     K = len(guide) - 1 buckets.  Why the result is the same index:
 
@@ -251,6 +257,8 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray, guide: np.ndarray | None = None)
     """
     if guide is None:
         guide = guide_table(cdf)
+    shape = np.shape(u)
+    u = np.ravel(u)
     t = u * cdf[-1]
     bucket = (u * (guide.size - 1)).astype(np.intp)
     idx = guide.take(bucket).astype(np.int64)
@@ -269,4 +277,4 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray, guide: np.ndarray | None = None)
             ok &= probe < stop
             np.copyto(last, probe, where=ok)
         idx[wide] = last + 1
-    return idx
+    return idx.reshape(shape)

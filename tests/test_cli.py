@@ -270,6 +270,10 @@ class TestExperimentCommand:
             ("hash", {"mode": "random-table", "universe": 1000.7}, "universe"),
             ("hash", {"mode": "random-table", "universe": 1000, "seed": True}, "seed"),
             ("distribution", {"name": "zipf", "exponnt": 3.0}, "exponnt"),
+            ("distribution", {"name": "zipf", "exponent": None}, "exponent"),
+            ("distribution", {"name": "restricted", "alpha": "0.3"}, "alpha"),
+            ("bound", {"name": "load-factor", "epsilon": True}, "epsilon"),
+            ("hash", {"mode": "table-file", "path": 5}, "path"),
         ],
     )
     def test_bad_nested_spec_is_domain_error(self, tmp_path, capsys, spec_key, spec, named):

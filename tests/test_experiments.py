@@ -170,6 +170,46 @@ class TestSpecBoundary:
         with pytest.raises(ValueError, match=repr(named)):
             resolve_ast_bound(spec, 100.0, 100, 0.3, 0.1)
 
+    @pytest.mark.parametrize("value", [None, True, False, "0.3", float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "build, spec, key",
+        [
+            (distribution_from_spec, {"name": "zipf"}, "exponent"),
+            (distribution_from_spec, {"name": "restricted"}, "alpha"),
+            (resolve_collision_bound, {"name": "load-factor"}, "epsilon"),
+            (resolve_collision_bound, {"name": "gaussian", "epsilon": 0.15, "s": 1.0}, "delta"),
+            (resolve_collision_bound, {"name": "gaussian", "epsilon": 0.15, "delta": 0.1}, "s"),
+            (resolve_collision_bound, {"name": "polynomial", "lambda": 1.0}, "beta"),
+            (resolve_collision_bound, {"name": "exponent-form", "beta": 1.0}, "lambda"),
+            (resolve_ast_bound, {"name": "eps-form"}, "epsilon"),
+            (resolve_ast_bound, {"name": "margin-form"}, "s"),
+        ],
+    )
+    def test_real_keys_reject_non_numbers(self, build, spec, key, value):
+        # float() would read true as 1.0, parse "0.3" and fail on null with a TypeError.
+        args = {
+            distribution_from_spec: (8,),
+            resolve_collision_bound: (64, 6400),
+            resolve_ast_bound: (100.0, 100, 0.3, 0.1),
+        }[build]
+        with pytest.raises(ValueError, match=repr(key)):
+            build({**spec, key: value}, *args)
+
+    def test_integer_real_keys_read_as_floats(self):
+        assert np.array_equal(
+            distribution_from_spec({"name": "zipf", "exponent": 2}, 8).weights,
+            distribution_from_spec({"name": "zipf", "exponent": 2.0}, 8).weights,
+        )
+        assert resolve_collision_bound(
+            {"name": "polynomial", "beta": 1, "lambda": 0}, 64, 6400
+        ) == resolve_collision_bound({"name": "polynomial", "beta": 1.0, "lambda": 0.0}, 64, 6400)
+
+    @pytest.mark.parametrize("path", [5, None, 1.5, True, ["t.txt"]])
+    def test_table_file_path_must_be_a_string(self, path):
+        # open(5) would read from file descriptor 5.
+        with pytest.raises(ValueError, match="'path'"):
+            hash_from_spec({"mode": "table-file", "path": path}, 8)
+
     def test_integral_floats_accepted_as_integers(self):
         a = hash_from_spec({"mode": "random-table", "universe": 1000.0, "seed": 3.0}, 8)
         b = hash_from_spec({"mode": "random-table", "universe": 1000, "seed": 3}, 8)
