@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Any
 
 from . import bounds, experiments, rng, search_time
@@ -104,87 +105,42 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _need(args, form: str, names: list[str]) -> list[float]:
-    values = []
-    for name in names:
-        dest = "lam" if name == "lambda" else name.replace("-", "_")
-        value = getattr(args, dest, None)
-        if value is None:
-            raise UsageError(f"--form {form} requires --{name}")
-        values.append(value)
-    return values
+# Flags named otherwise than the bound parameter they set (their argparse dest).
+_FLAG_NAMES = {"epsilon": "eps", "L": "load"}
+
+
+def _flag(dest: str) -> str:
+    return "--" + _FLAG_NAMES.get(dest, dest.replace("_", "-"))
+
+
+def _check_finite(args) -> None:
+    """Reject NaN and infinities in every real-valued flag, naming the flag."""
+    for dest, value in vars(args).items():
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{_flag(dest)} must be finite, got {x}")
+
+
+def _print_bound(args, fn, params) -> int:
+    """Call ``fn`` on the flags whose dests are ``params``, in order, and print its fields."""
+    missing = [name for name in params if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"--form {args.form} requires {_flag(missing[0])}")
+    result = fn(*[getattr(args, name) for name in params])
+    # BoundParams spells its lambda field `lam`, as `lambda` is a Python keyword.
+    pairs = [("lambda" if key == "lam" else key, value) for key, value in asdict(result).items()]
+    _print_fields(pairs, args.json)
+    return 0
 
 
 def cmd_bound(args) -> int:
-    form = args.form
-    if form == "polynomial":
-        beta, lam = _need(args, form, ["beta", "lambda"])
-        result = bounds.polynomial_tail_bound(_need_n(args), beta, lam)
-    elif form == "gaussian":
-        eps, delta, s = _need(args, form, ["eps", "delta", "s"])
-        result = bounds.gaussian_tail_bound(_need_n(args), eps, delta, s)
-    elif form == "simplified-gaussian":
-        eps, delta = _need(args, form, ["eps", "delta"])
-        result = bounds.simplified_gaussian_bound(_need_n(args), eps, delta)
-    elif form == "load-factor":
-        eps, load = _need(args, form, ["eps", "load"])
-        result = bounds.load_factor_bound(eps, load)
-    elif form == "exponent-form":
-        beta, lam = _need(args, form, ["beta", "lambda"])
-        result = bounds.exponent_form_bound(_need_n(args), beta, lam)
-    elif form == "params":
-        load, eps = _need(args, form, ["load", "eps"])
-        params = bounds.params_from_load(_need_n(args), load, eps)
-        _print_fields(
-            [
-                ("n", params.n),
-                ("m", params.m),
-                ("epsilon", params.epsilon),
-                ("delta", params.delta),
-                ("s", params.s),
-                ("L", params.L),
-                ("beta", params.beta),
-                ("lambda", params.lam),
-                ("m_exact", params.m_exact),
-            ],
-            args.json,
-        )
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown form {form!r}")
-    _print_fields(
-        [
-            ("error_bound", result.error_bound),
-            ("confidence", result.confidence),
-            ("vacuous", result.vacuous),
-            ("underflow", result.underflow),
-        ],
-        args.json,
-    )
-    return 0
-
-
-def _need_n(args) -> int:
-    if args.n is None:
-        raise UsageError(f"--form {args.form} requires --n")
-    return args.n
+    if args.form == "params":
+        return _print_bound(args, bounds.params_from_load, ("n", "L", "epsilon"))
+    return _print_bound(args, *experiments.BOUNDS["collision"][args.form])
 
 
 def cmd_ast_bound(args) -> int:
-    if args.form == "margin":
-        if args.s is None:
-            raise UsageError("--form margin requires --s")
-        result = search_time.search_time_bound_margin(
-            args.load, args.n, args.v_norm, args.p_norm, args.s
-        )
-    else:
-        if args.eps is None:
-            raise UsageError("--form eps requires --eps")
-        result = search_time.search_time_bound_eps(
-            args.load, args.n, args.v_norm, args.p_norm, args.eps
-        )
-    _print_fields([("value", result.value), ("confidence", result.confidence)], args.json)
-    return 0
+    return _print_bound(args, *experiments.BOUNDS["ast"][f"{args.form}-form"])
 
 
 def cmd_restricted_access(args) -> int:
@@ -298,36 +254,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bound", help="evaluate a closed-form deviation bound")
-    p.add_argument(
-        "--form",
-        choices=[
-            "polynomial",
-            "gaussian",
-            "simplified-gaussian",
-            "load-factor",
-            "exponent-form",
-            "params",
-        ],
-        required=True,
-    )
+    p.add_argument("--form", choices=[*experiments.BOUNDS["collision"], "params"], required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=float, dest="epsilon", metavar="EPS")
     p.add_argument("--delta", type=float)
     p.add_argument("--s", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--load", type=float)
+    p.add_argument("--lambda", type=float, metavar="LAM")
+    p.add_argument("--load", type=float, dest="L", metavar="LOAD")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("ast-bound", help="evaluate a search-time tail bound")
-    p.add_argument("--form", choices=["margin", "eps"], required=True)
-    p.add_argument("--load", type=float, required=True)
+    ast_forms = [name.removesuffix("-form") for name in experiments.BOUNDS["ast"]]
+    p.add_argument("--form", choices=ast_forms, required=True)
+    p.add_argument("--load", type=float, dest="L", metavar="LOAD", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--v-norm", type=float, required=True)
     p.add_argument("--p-norm", type=float, required=True)
     p.add_argument("--s", type=float)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=float, dest="epsilon", metavar="EPS")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ast_bound)
 
@@ -386,6 +332,7 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        _check_finite(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

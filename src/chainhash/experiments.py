@@ -60,7 +60,6 @@ _RESERVOIR_BLOCK = 2**16
 CSV_HEADER = ("trial", "value", "rel_error", "violation")
 
 # Spec keys beside the name, with their defaults; None marks a required key.
-# Bound keys are listed in the argument order of their bound functions.
 _DISTRIBUTIONS = {
     "uniform": {},
     "zipf": {"exponent": 1.0},
@@ -72,17 +71,35 @@ _HASH_MODES = {
     "random-table": {"universe": None, "seed": 0},
     "table-file": {"path": None},
 }
-_COLLISION_BOUNDS = {
-    "load-factor": {"epsilon": None},
-    "gaussian": {"epsilon": None, "delta": None, "s": None},
-    "simplified-gaussian": {"epsilon": None, "delta": None},
-    "polynomial": {"beta": None, "lambda": None},
-    "exponent-form": {"beta": None, "lambda": None},
-}
-_AST_BOUNDS = {"eps-form": {"epsilon": None}, "margin-form": {"s": None}}
 
 DIST_NAMES = tuple(_DISTRIBUTIONS)
 HASH_MODES = tuple(_HASH_MODES)
+
+# Each bound name of a config kind, with its function and that function's
+# parameter names in argument order.  A run supplies the parameters in
+# _RUN_SUPPLIED; every other one is a required key of the bound spec.  The
+# CLI's `bound` and `ast-bound` commands read the same table.
+BOUNDS = {
+    "collision": {
+        "polynomial": (polynomial_tail_bound, ("n", "beta", "lambda")),
+        "gaussian": (gaussian_tail_bound, ("n", "epsilon", "delta", "s")),
+        "simplified-gaussian": (simplified_gaussian_bound, ("n", "epsilon", "delta")),
+        "load-factor": (load_factor_bound, ("epsilon", "L")),
+        "exponent-form": (exponent_form_bound, ("n", "beta", "lambda")),
+    },
+    "ast": {
+        "margin-form": (search_time.search_time_bound_margin, ("L", "n", "v_norm", "p_norm", "s")),
+        "eps-form": (search_time.search_time_bound_eps, ("L", "n", "v_norm", "p_norm", "epsilon")),
+    },
+}
+_RUN_SUPPLIED = {"n", "L", "v_norm", "p_norm"}
+_BOUND_SPECS = {
+    kind: {
+        name: dict.fromkeys(key for key in params if key not in _RUN_SUPPLIED)
+        for name, (_, params) in table.items()
+    }
+    for kind, table in BOUNDS.items()
+}
 
 
 def _check_keys(data: Mapping[str, Any], required, allowed, what: str) -> None:
@@ -171,6 +188,24 @@ def _config_float(data: Mapping[str, Any], key: str) -> float:
     return value
 
 
+def _config_spec(data: Mapping[str, Any], key: str, optional: bool = False) -> dict | None:
+    """A nested spec: a JSON object, copied; absent or null is None where ``optional``."""
+    value = data.get(key)
+    if value is None and optional:
+        return None
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _config_path(data: Mapping[str, Any], key: str) -> str | None:
+    """An optional output path: a string, or absent or null for none."""
+    value = data.get(key)
+    if value is not None and type(value) is not str:  # open() takes an int as a file descriptor
+        raise ValueError(f"config key {key!r} must be a string or null, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo run (also the JSON config schema)."""
@@ -207,14 +242,12 @@ class ExperimentConfig:
             m=_config_int(data, "m"),
             trials=_config_int(data, "trials"),
             base_seed=_config_int(data, "base_seed"),
-            distribution=dict(data["distribution"]),
-            hash_spec=dict(data["hash"]),
-            bound=dict(data["bound"]),
-            access_pattern=(
-                dict(data["access_pattern"]) if data.get("access_pattern") is not None else None
-            ),
-            output=data.get("output"),
-            csv_path=data.get("csv"),
+            distribution=_config_spec(data, "distribution"),
+            hash_spec=_config_spec(data, "hash"),
+            bound=_config_spec(data, "bound"),
+            access_pattern=_config_spec(data, "access_pattern", optional=True),
+            output=_config_path(data, "output"),
+            csv_path=_config_path(data, "csv"),
         )
 
     @classmethod
@@ -317,28 +350,22 @@ class ExperimentReport:
 
 def resolve_collision_bound(spec: Mapping[str, Any], n: int, m: int) -> DeviationBound:
     """Evaluate the configured deviation bound (validates its preconditions)."""
-    name, fields = _spec_fields(spec, "name", "collision bound", _COLLISION_BOUNDS)
-    args = [_config_float(fields, key) for key in fields]
-    if name == "load-factor":
-        return load_factor_bound(*args, m / n)
-    if name == "gaussian":
-        return gaussian_tail_bound(n, *args)
-    if name == "simplified-gaussian":
-        return simplified_gaussian_bound(n, *args)
-    if name == "polynomial":
-        return polynomial_tail_bound(n, *args)
-    return exponent_form_bound(n, *args)
+    return _resolve_bound(spec, "collision", "collision bound", n=n, L=m / n)
 
 
 def resolve_ast_bound(
     spec: Mapping[str, Any], L: float, n: int, v_norm: float, p_norm: float
 ) -> search_time.SearchTimeBound:
     """Evaluate the configured search-time bound from measured norms."""
-    name, fields = _spec_fields(spec, "name", "search-time bound", _AST_BOUNDS)
-    if name == "eps-form":
-        epsilon = _config_float(fields, "epsilon")
-        return search_time.search_time_bound_eps(L, n, v_norm, p_norm, epsilon)
-    return search_time.search_time_bound_margin(L, n, v_norm, p_norm, _config_float(fields, "s"))
+    return _resolve_bound(spec, "ast", "search-time bound", L=L, n=n, v_norm=v_norm, p_norm=p_norm)
+
+
+def _resolve_bound(spec: Mapping[str, Any], kind: str, what: str, **supplied):
+    """Call the ``BOUNDS[kind]`` function the spec names; its real keys fill the rest."""
+    name, fields = _spec_fields(spec, "name", what, _BOUND_SPECS[kind])
+    fn, params = BOUNDS[kind][name]
+    args = [supplied[key] if key in supplied else _config_float(fields, key) for key in params]
+    return fn(*args)
 
 
 def _kept_trials(trials: int, base_seed: int, record_cap: int, reservoir_size: int):

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from chainhash import experiments
-from chainhash.cli import fmt, main
+from chainhash.cli import build_parser, fmt, main
 from chainhash.hashing import HashModel
 
 
@@ -170,6 +171,146 @@ class TestAstBound:
         assert "requires --eps" in err
 
 
+_AST_NORMS = ["--load", "16", "--n", "100", "--v-norm", "0.1", "--p-norm", "0.1"]
+
+# Each bound form with its flags, its text stdout and its --json stdout (as a
+# dict), then flags that break one of its preconditions and the error printed.
+_BOUND_FORMS = {
+    "polynomial": (
+        ["bound", "--form", "polynomial"], ["--n", "10000", "--beta", "1", "--lambda", "1"],
+        "error_bound 0.0300000\nconfidence 0.999956\nvacuous false\nunderflow false\n",
+        {"confidence": 0.9999555555555556, "error_bound": 0.03, "underflow": False,
+         "vacuous": False},
+        ["--n", "1", "--beta", "1", "--lambda", "1"], "n must be at least 2",
+    ),
+    "gaussian": (
+        ["bound", "--form", "gaussian"],
+        ["--n", "100", "--eps", "0.1", "--delta", "1", "--s", "2"],
+        "error_bound 0.422000\nconfidence 0.591245\nvacuous false\nunderflow false\n",
+        {"confidence": 0.591245065365064, "error_bound": 0.422, "underflow": False,
+         "vacuous": False},
+        ["--n", "100", "--eps", "0.1", "--delta", "1", "--s", "-1"], "s must be nonnegative",
+    ),
+    "simplified-gaussian": (
+        ["bound", "--form", "simplified-gaussian"],
+        ["--n", "64", "--eps", "0.15", "--delta", "0.5"],
+        "error_bound 3.30000\nconfidence 0.999627\nvacuous false\nunderflow false\n",
+        {"confidence": 0.999627263746775, "error_bound": 3.3, "underflow": False,
+         "vacuous": False},
+        ["--n", "24", "--eps", "0.15", "--delta", "0.5"], "n must exceed 24",
+    ),
+    "load-factor": (
+        ["bound", "--form", "load-factor"], ["--eps", "0.05", "--load", "1000"],
+        "error_bound 1.10000\nconfidence 0.908794\nvacuous false\nunderflow false\n",
+        {"confidence": 0.9087944459734458, "error_bound": 1.1, "underflow": False,
+         "vacuous": False},
+        ["--eps", "0.5", "--load", "1000"], "epsilon must lie in (0, 1/3)",
+    ),
+    "exponent-form": (
+        ["bound", "--form", "exponent-form"],
+        ["--n", "10000", "--beta", "0.5", "--lambda", "0.75"],
+        "error_bound 0.440000\nconfidence 0.999950\nvacuous false\nunderflow false\n",
+        {"confidence": 0.9999495556335972, "error_bound": 0.44000000000000006,
+         "underflow": False, "vacuous": False},
+        ["--n", "10000", "--beta", "0.5", "--lambda", "0.5"], "lambda must exceed 1/2",
+    ),
+    "params": (
+        ["bound", "--form", "params"], ["--n", "64", "--load", "100", "--eps", "0.15"],
+        "n 64\nm 6400\nepsilon 0.150000\ndelta 0.194988\ns 3.00000\nL 100.000\n"
+        "beta 0.912322\nlambda 0.694988\nm_exact 6400.00\n",
+        {"L": 100.0, "beta": 0.9123218647220688, "delta": 0.19498750024038541,
+         "epsilon": 0.15, "lambda": 0.6949875002403854, "m": 6400, "m_exact": 6400.0,
+         "n": 64, "s": 3.0},
+        ["--n", "64", "--load", "10", "--eps", "0.15"],
+        "L*epsilon**2 must exceed 1 (delta must be positive)",
+    ),
+    "margin": (
+        ["ast-bound", "--form", "margin", *_AST_NORMS], ["--s", "0"],
+        "value 22.1660\nconfidence -0.111111\n",
+        {"confidence": -0.11111111111111116, "value": 22.166010488516726},
+        ["--s", "-1"], "s must be nonnegative",
+    ),
+    "eps": (
+        ["ast-bound", "--form", "eps", *_AST_NORMS], ["--eps", "0.3"],
+        "value 55.4000\nconfidence 0.736747\n",
+        {"confidence": 0.7367469347976425, "value": 55.4},
+        ["--eps", "0"], "epsilon must be positive",
+    ),
+}
+
+
+def _missing_flag_cases():
+    for form, (command, flags, *_) in _BOUND_FORMS.items():
+        for i in range(0, len(flags), 2):
+            yield form, [*command, *flags[:i], *flags[i + 2:]], flags[i]
+
+
+class TestBoundTable:
+    """Stdout and exit codes of `bound` and `ast-bound`, pinned form by form."""
+
+    @pytest.mark.parametrize("form", _BOUND_FORMS)
+    def test_text_and_json(self, capsys, form):
+        command, flags, text, as_json, _, _ = _BOUND_FORMS[form]
+        assert run(capsys, *command, *flags) == (0, text, "")
+        expected = json.dumps(as_json, indent=2, sort_keys=True) + "\n"
+        assert run(capsys, *command, *flags, "--json") == (0, expected, "")
+
+    @pytest.mark.parametrize("form", _BOUND_FORMS)
+    def test_domain_error(self, capsys, form):
+        command, _, _, _, bad_flags, message = _BOUND_FORMS[form]
+        assert run(capsys, *command, *bad_flags) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("form, argv, flag", _missing_flag_cases())
+    def test_missing_flag(self, capsys, form, argv, flag):
+        expected = f"usage error: --form {form} requires {flag}\n"
+        assert run(capsys, *argv) == (2, "", expected)
+
+    def test_form_choices_are_the_bound_table_names(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+
+        def form_choices(command):
+            actions = subparsers.choices[command]._actions
+            return [c for a in actions if a.dest == "form" for c in a.choices]
+
+        assert form_choices("bound") == [*experiments.BOUNDS["collision"], "params"]
+        ast_names = [f"{choice}-form" for choice in form_choices("ast-bound")]
+        assert ast_names == list(experiments.BOUNDS["ast"])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["estimate", "--n", "16", "--load", "inf"], "--load"),
+        (["estimate", "--n", "16", "--m", "40", "--dist", "zipf", "--zipf-exp", "inf"],
+         "--zipf-exp"),
+        (["bound", "--form", "load-factor", "--eps", "0.05", "--load", "inf"], "--load"),
+        (["bound", "--form", "load-factor", "--eps", "nan", "--load", "1000"], "--eps"),
+        (["bound", "--form", "gaussian", "--n", "100", "--eps", "0.1", "--delta", "inf",
+          "--s", "0"], "--delta"),
+        (["bound", "--form", "polynomial", "--n", "10000", "--beta", "inf", "--lambda", "1"],
+         "--beta"),
+        (["bound", "--form", "exponent-form", "--n", "10000", "--beta", "0.5",
+          "--lambda", "inf"], "--lambda"),
+        (["bound", "--form", "params", "--n", "64", "--load=-inf", "--eps", "0.15"], "--load"),
+        (["ast-bound", "--form", "eps", "--load", "inf", "--n", "100", "--v-norm", "0.1",
+          "--p-norm", "0.1", "--eps", "0.05"], "--load"),
+        (["ast-bound", "--form", "margin", *_AST_NORMS, "--s", "inf"], "--s"),
+        (["ast-bound", "--form", "margin", "--load", "16", "--n", "100", "--v-norm", "nan",
+          "--p-norm", "0.1", "--s", "0"], "--v-norm"),
+        (["restricted-access", "--c", "5", "--alpha", "0.1", "--eps", "0.05",
+          "--load", "1000", "inf"], "--load"),
+        (["combined-query", "--c", "inf", "--alpha", "0.1", "--alpha2", "0.4",
+          "--eps", "0.05", "--load", "1000"], "--c"),
+    ],
+)
+def test_non_finite_flag_is_domain_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} must be finite")
+
+
 class TestWorkedExamples:
     def test_restricted_access_table(self, capsys):
         code, out, _ = run(
@@ -274,6 +415,11 @@ class TestExperimentCommand:
             ("distribution", {"name": "restricted", "alpha": "0.3"}, "alpha"),
             ("bound", {"name": "load-factor", "epsilon": True}, "epsilon"),
             ("hash", {"mode": "table-file", "path": 5}, "path"),
+            ("distribution", 5, "distribution"),
+            ("distribution", ["name"], "distribution"),
+            ("hash", "identity", "hash"),
+            ("bound", None, "bound"),
+            ("access_pattern", ["uniform"], "access_pattern"),
         ],
     )
     def test_bad_nested_spec_is_domain_error(self, tmp_path, capsys, spec_key, spec, named):
@@ -288,6 +434,24 @@ class TestExperimentCommand:
         code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(named) in err
+
+    @pytest.mark.parametrize("key, value", [("csv", 5), ("output", ["a"]), ("csv", 1.5)])
+    def test_non_string_output_path_is_domain_error(self, tmp_path, capsys, monkeypatch, key,
+                                                    value):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_run_trials", no_trials)
+        cfg = {
+            "kind": "collision", "n": 16, "m": 640, "trials": 3, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3}, key: value,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and repr(key) in err
 
 
 class TestPerturbationCommand:
