@@ -19,7 +19,7 @@ from typing import Any
 
 from . import bounds, experiments, rng, search_time
 from .estimator import empirical_collision_probability, relative_error
-from .hashing import count_slots, slot_probabilities
+from .hashing import MAX_SIZE, count_slots, slot_probabilities
 from .probability import KeySequence, norm_sq, sample
 
 
@@ -59,10 +59,17 @@ def _resolve_m(args) -> int:
     if args.m is not None and args.load is not None:
         raise UsageError("give --m or --load, not both")
     if args.m is not None:
-        return args.m
+        return _key_count(args.m, "--m")
     if args.load is not None:
-        return int(round(args.load * args.n))
+        return _key_count(args.load * args.n, "--load")
     raise UsageError("one of --m or --load is required")
+
+
+def _key_count(m: float, flag: str) -> int:
+    """round(m) keys, rejected above ``MAX_SIZE`` (before round(), which fails on inf)."""
+    if m > MAX_SIZE:
+        raise ValueError(f"{flag} gives m = {m}, above the maximum key count 2**24")
+    return int(round(m))
 
 
 def _hash_and_dist(args):
@@ -204,6 +211,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_perturbation_check(args) -> int:
+    m = _key_count(args.m, "--m")
     hash_spec = {"mode": "identity"}
     if args.universe is not None:
         hash_spec = {"mode": "random-table", "universe": args.universe, "seed": args.table_seed}
@@ -211,10 +219,10 @@ def cmd_perturbation_check(args) -> int:
     q = experiments.distribution_from_spec({"name": "uniform"}, h.universe)
     violations = 0
     for t in range(args.trials):
-        x = sample(q, rng.trial_seed(args.seed, 2 * t), args.m)
+        x = sample(q, rng.trial_seed(args.seed, 2 * t), m)
         # Overwrite a sliding prefix so the pairs sweep from identical (d=0)
         # to fully independent (d=m).
-        d = t % (args.m + 1)
+        d = t % (m + 1)
         y_keys = x.keys.copy()
         if d:
             y_keys[:d] = sample(q, rng.trial_seed(args.seed, 2 * t + 1), d).keys

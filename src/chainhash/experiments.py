@@ -30,7 +30,7 @@ from .bounds import (
     simplified_gaussian_bound,
 )
 from .estimator import empirical_collision_probability, relative_error
-from .hashing import HashModel, count_slots, slot_probabilities
+from .hashing import MAX_SIZE, HashModel, count_slots, slot_probabilities
 from .probability import (
     KeySequence,
     ProbabilityVector,
@@ -229,6 +229,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.m < 2:
             raise ValueError("m must be at least 2")
+        if self.m > MAX_SIZE:
+            raise ValueError(f"m must be at most 2**24, the maximum key count, got {self.m}")
         if self.kind == "ast" and self.access_pattern is None:
             raise ValueError("ast experiments need an access_pattern spec")
 

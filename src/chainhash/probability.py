@@ -9,8 +9,10 @@ none), where ``cdf`` is the float64 ``cumsum`` of the weights.  Sequences
 are therefore reproducible bit-for-bit from (vector, seed, count).  The
 search for that index goes through a guide table (Chen & Asau 1974), which
 finds exactly the index the rule names; see :func:`inverse_cdf`.  The
-sampler also takes a block of seeds and draws one row per seed in a single
-call; each row holds exactly the draws its seed gives on its own.
+sampler finds each draw's guide bucket from the top bits of its stream word
+and forms the double u only where that bucket holds a cdf step.  It also
+takes a block of seeds and draws one row per seed in a single call; each
+row holds exactly the draws its seed gives on its own.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ SUM_TOL = 1e-12
 # and one per outcome above, capped at 2**20 so that the int32 table holds
 # 4 MiB plus one entry.  Fewer draws then land in a bucket that holds a cdf
 # step: 6400 Zipf-64 draws took 86 us with four buckets per outcome and
-# 168 us with one (binary search: 263 us).
+# 168 us with one (binary search: 263 us).  At least 2**13 buckets (32 KiB):
+# with 512, one draw in five of a 100-entry cdf reached the windowed search.
 _GUIDE_FINE_UP_TO = 2**16
+_GUIDE_MIN_BUCKETS = 2**13
 _GUIDE_MAX_BUCKETS = 2**20
 # Bucket edges searched per call while building (the fastest of 2**10..2**16
 # on a 2**20-entry Zipf cdf).
@@ -198,25 +202,35 @@ def sample_from_cdf(
     ``seeds[r]`` alone: the stream rows are unchanged and the search is
     elementwise.  Pass ``guide_table(cdf)`` (or :attr:`ProbabilityVector.guide`)
     when sampling the same cdf repeatedly; without it each call builds one.
+    The search takes each bucket from the top bits of the stream word and
+    forms the double only where the bucket holds a cdf step (see
+    :func:`inverse_cdf`).
     """
-    return inverse_cdf(cdf, rng.stream_doubles(seed, count), guide)
+    if guide is None:
+        guide = guide_table(cdf)
+    words = rng.stream_uint64(seed, count)
+    flat = words.ravel()
+    k = (guide.size - 1).bit_length() - 1  # K = 2**k buckets
+    bucket = np.right_shift(flat, np.uint64(64 - k)).view(np.int64)
+    draws = _guided_search(cdf, guide, bucket, lambda at: rng.unit_doubles(flat.take(at)))
+    return draws.reshape(words.shape)
 
 
 def guide_table(cdf: np.ndarray) -> np.ndarray:
     """Guide table of a nondecreasing cdf: ``K + 1`` int32 bucket starts.
 
-    ``K`` is a power of two fixed by ``U = cdf.size`` (4 * 2**ceil(log2 U)
-    up to U = 2**16, 2**ceil(log2 U) above, at most 2**20), and entry j is
-    ``min(searchsorted(cdf, (j/K) * cdf[-1], "right"), U - 1)``: the draw of
-    the uniform j/K.  Edges are searched a block at a time, each block only
-    in the cdf slice between its first and last answers: the temporaries
-    stay small and the searches stay in cache.
+    ``K`` is a power of two fixed by ``U = cdf.size``: 4 * 2**ceil(log2 U)
+    up to U = 2**16 and 2**ceil(log2 U) above, but at least 2**13 and at
+    most 2**20.  Entry j is ``min(searchsorted(cdf, (j/K) * cdf[-1], "right"), U - 1)``:
+    the draw of the uniform j/K.  Edges are searched a block at a time,
+    each block only in the cdf slice between its first and last answers:
+    the temporaries stay small and the searches stay in cache.
     """
     size = cdf.size
     buckets = 1 << (size - 1).bit_length()
     if size <= _GUIDE_FINE_UP_TO:
         buckets *= 4
-    buckets = min(buckets, _GUIDE_MAX_BUCKETS)
+    buckets = min(max(buckets, _GUIDE_MIN_BUCKETS), _GUIDE_MAX_BUCKETS)
     guide = np.empty(buckets + 1, dtype=np.int32)
     low = 0
     for start in range(0, buckets + 1, _GUIDE_BLOCK):
@@ -239,7 +253,12 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray, guide: np.ndarray | None = None)
     K = len(guide) - 1 buckets.  Why the result is the same index:
 
     * u lies in bucket j = floor(u * K), computed exactly because K is a
-      power of two, so j/K <= u < (j+1)/K.
+      power of two, so j/K <= u < (j+1)/K.  For the double of a stream
+      word w, u = (w >> 11) * 2**-53, and K = 2**k with k <= 20, j is the
+      top k bits of w: floor((w >> 11) * 2**(k-53)) = w >> (64 - k).  So
+      :func:`sample_from_cdf` takes j from w and forms u only where
+      guide[j] < guide[j+1]; it gives the draws of this function on the
+      doubles of the stream.
     * Rounded multiplication by cdf[-1] >= 0 and the clamped search are
       both monotone, so guide[j] <= draw(u) <= guide[j+1].
     * Where guide[j] == guide[j+1] that is the draw.  Elsewhere, with
@@ -259,22 +278,32 @@ def inverse_cdf(cdf: np.ndarray, u: np.ndarray, guide: np.ndarray | None = None)
         guide = guide_table(cdf)
     shape = np.shape(u)
     u = np.ravel(u)
-    t = u * cdf[-1]
     bucket = (u * (guide.size - 1)).astype(np.intp)
+    return _guided_search(cdf, guide, bucket, u.take).reshape(shape)
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, bucket: np.ndarray, uniforms) -> np.ndarray:
+    """The draws of a flat array of buckets, as :func:`inverse_cdf` sets out.
+
+    ``uniforms(at)`` returns the doubles u at the flat positions ``at``; it
+    is called once, for the draws whose bucket holds a cdf step.
+    """
     idx = guide.take(bucket).astype(np.int64)
     end = guide[1:].take(bucket)
     wide = np.flatnonzero(idx < end)
-    wide = wide[cdf[idx[wide]] <= t[wide]]
+    t = uniforms(wide) * cdf[-1]
+    ahead = cdf[idx[wide]] <= t
+    wide, t = wide[ahead], t[ahead]
     if wide.size:
-        last, stop, target = idx[wide], end[wide], t[wide]
+        last, stop = idx[wide], end[wide]
         step = 1 << (int((stop - last).max()) - 1).bit_length()
         while step > 1:
             step >>= 1
             probe = last + step
-            ok = cdf.take(probe, mode="clip") <= target
+            ok = cdf.take(probe, mode="clip") <= t
             # Past the window cdf > t, unless t rounded up to cdf[-1]
             # (possible only for a subnormal total).
             ok &= probe < stop
             np.copyto(last, probe, where=ok)
         idx[wide] = last + 1
-    return idx.reshape(shape)
+    return idx

@@ -4,15 +4,29 @@ import json
 import numpy as np
 import pytest
 
-from chainhash import experiments
+from chainhash import experiments, rng
 from chainhash.cli import build_parser, fmt, main
-from chainhash.hashing import HashModel
+from chainhash.hashing import MAX_SIZE, HashModel
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class StreamDrawn(Exception):
+    pass
+
+
+@pytest.fixture
+def no_stream(monkeypatch):
+    """Every stream call (and so every sampling call) raises StreamDrawn with its count."""
+
+    def spy(seed, count, offset=0):
+        raise StreamDrawn(count)
+
+    monkeypatch.setattr(rng, "stream_uint64", spy)
 
 
 class TestFormatting:
@@ -51,6 +65,27 @@ class TestEstimate:
         data = json.loads(out)
         assert data["m"] == 6400
         assert data["rel_error"] < 22 * 0.15
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--m", str(MAX_SIZE + 1)], "--m"),
+            (["--m", "100000000000"], "--m"),
+            (["--load", "1048576.1"], "--load"),
+            (["--load", "1e300"], "--load"),
+            (["--load", "1e308"], "--load"),
+        ],
+    )
+    def test_key_count_above_the_cap_is_domain_error(self, capsys, no_stream, flags, named):
+        code, out, err = run(capsys, "estimate", "--n", "16", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {named} gives m = ") and "2**24" in err
+
+    @pytest.mark.parametrize("flags", [["--m", str(MAX_SIZE)], ["--load", "1048576"]])
+    def test_key_count_at_the_cap_is_sampled(self, no_stream, flags):
+        with pytest.raises(StreamDrawn) as drawn:
+            main(["estimate", "--n", "16", *flags])
+        assert drawn.value.args == (MAX_SIZE,)
 
     def test_m_and_load_conflict(self, capsys):
         code, _, err = run(
@@ -454,7 +489,26 @@ class TestExperimentCommand:
         assert err.startswith("error: ") and repr(key) in err
 
 
+    def test_key_count_above_the_cap_is_domain_error(self, tmp_path, capsys, no_stream):
+        cfg = {
+            "kind": "collision", "n": 16, "m": MAX_SIZE + 1, "trials": 3, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == "error: m must be at most 2**24, the maximum key count, got 16777217\n"
+
+
 class TestPerturbationCommand:
+    def test_key_count_above_the_cap_is_domain_error(self, capsys, no_stream):
+        argv = ["perturbation-check", "--n", "16", "--m", str(MAX_SIZE + 1), "--trials", "2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --m gives m = 16777217") and "2**24" in err
+
     def test_reports_zero_violations(self, capsys):
         code, out, _ = run(
             capsys,

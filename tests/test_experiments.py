@@ -86,6 +86,13 @@ class TestConfig:
         assert cfg == collision_config()
         assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.trials, cfg.base_seed))
 
+    def test_key_count_capped(self):
+        assert collision_config(m=2**24).m == 2**24
+        with pytest.raises(ValueError, match=r"m must be at most 2\*\*24"):
+            collision_config(m=2**24 + 1)
+        with pytest.raises(ValueError, match=r"m must be at most 2\*\*24"):
+            ast_config(m=10**11)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             collision_config(trials=0)

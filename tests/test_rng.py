@@ -88,3 +88,30 @@ def test_rejects_negative_arguments():
     with pytest.raises(ValueError):
         rng.trial_seed(1, -1)
     assert rng.stream_uint64(1, 0).size == 0
+
+
+@pytest.mark.parametrize("offset", [0, 5, rng._CHUNK - 3, 2**40 + 7])
+def test_long_streams_match_scalar_reference_across_chunks(offset):
+    # Three chunks, the last partial; multi-seed rows and offsets cross every edge.
+    seeds = [0, 3, MASK]
+    chunk = rng._CHUNK
+    count = 2 * chunk + 17
+    block = rng.stream_uint64(seeds, count, offset)
+    assert block.shape == (3, count) and block.dtype == np.uint64
+    positions = [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, count - 1]
+    positions += [int(i) for i in np.random.default_rng(offset).integers(0, count, 40)]
+    for r, seed in enumerate(seeds):
+        origin = _finalize(seed & MASK)
+        for i in positions:
+            expected = _finalize((origin + (offset + i + 1) * 0x9E3779B97F4A7C15) & MASK)
+            assert int(block[r, i]) == expected
+        assert np.array_equal(rng.stream_uint64(seed, count, offset), block[r])
+
+
+def test_chunked_and_single_pass_streams_agree():
+    # Either side of the length where the stream starts computing in chunks.
+    edge = rng._CHUNK
+    one_pass = rng.stream_uint64(9, edge, offset=11)
+    chunked = rng.stream_uint64(9, edge + 1, offset=11)
+    assert np.array_equal(chunked[:edge], one_pass)
+    assert np.array_equal(rng.stream_uint64(9, 1, offset=11 + edge), chunked[edge:])

@@ -2,8 +2,13 @@
 
 The reference below is the sampler's previous implementation, the draw rule
 written as one ``searchsorted`` call.  Every test requires the guide-table
-search to return exactly its indices.
+search to return exactly its indices.  ``sample_from_cdf`` takes each
+bucket from the top bits of a stream word rather than from its double; the
+word tests feed it chosen words and compare with the reference on the
+doubles of those words.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +31,37 @@ from chainhash.probability import (
 
 def reference(cdf, u):
     return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), cdf.size - 1)
+
+
+def doubles_of(words):
+    # The stream's double of a word, written out here rather than taken from rng.
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def word_draws(cdf, guide, words):
+    """``sample_from_cdf`` on a stream that yields ``words``."""
+    with mock.patch.object(rng, "stream_uint64", lambda seed, count: words):
+        return sample_from_cdf(cdf, 0, words.size, guide)
+
+
+def hard_words(cdf, guide, buckets=None):
+    """Words where an error in the word route would show.
+
+    For each bucket j of ``buckets`` (default: every bucket) the first and
+    last word of its top-k-bit range, and for each cdf step the words whose
+    53-bit value lands on it and one ulp either side, each with the 11
+    dropped bits all clear and all set.
+    """
+    k = (guide.size - 1).bit_length() - 1
+    j = np.arange(guide.size - 1, dtype=np.uint64) if buckets is None else buckets
+    shift = np.uint64(64 - k)
+    edges = np.concatenate([j << shift, ((j + np.uint64(1)) << shift) - np.uint64(1)])
+    top = np.floor(cdf / cdf[-1] * 2.0**53)
+    top = np.concatenate([top - 1, top, top + 1])
+    top = top[(top >= 0) & (top < 2.0**53)].astype(np.uint64) << np.uint64(11)
+    low = np.array([0, 0x7FF], dtype=np.uint64)
+    steps = (top[:, None] | low).ravel()
+    return np.concatenate([edges, steps])
 
 
 def hard_uniforms(cdf, guide):
@@ -79,6 +115,12 @@ class TestNamedDistributions:
         u = hard_uniforms(named.cdf, named.guide)
         assert np.array_equal(inverse_cdf(named.cdf, u, named.guide), reference(named.cdf, u))
 
+    def test_word_route_matches(self, named):
+        words = hard_words(named.cdf, named.guide)
+        expected = reference(named.cdf, doubles_of(words))
+        assert np.array_equal(word_draws(named.cdf, named.guide, words), expected)
+        assert np.array_equal(inverse_cdf(named.cdf, doubles_of(words), named.guide), expected)
+
     def test_result_type_and_zero_weights(self, named):
         keys = sample(named, 3, 4000).keys
         assert keys.dtype == np.int64
@@ -101,12 +143,14 @@ def test_cdf_totals_other_than_one():
         u = np.concatenate([hard_uniforms(cdf, guide), rng.stream_doubles(17, 5000)])
         assert np.array_equal(inverse_cdf(cdf, u, guide), reference(cdf, u))
         assert np.array_equal(inverse_cdf(cdf, u), reference(cdf, u))
+        words = np.concatenate([hard_words(cdf, guide), rng.stream_uint64(17, 5000)])
+        assert np.array_equal(word_draws(cdf, guide, words), reference(cdf, doubles_of(words)))
 
 
 @pytest.mark.parametrize(
     "size, buckets",
-    [(1, 4), (2, 8), (3, 16), (64, 256), (100, 512), (2**16, 2**18), (2**16 + 1, 2**17),
-     (2**20, 2**20), (2**20 + 1, 2**20)],
+    [(1, 2**13), (2, 2**13), (3, 2**13), (64, 2**13), (100, 2**13), (2**11, 2**13),
+     (2**11 + 1, 2**14), (2**16, 2**18), (2**16 + 1, 2**17), (2**20, 2**20), (2**20 + 1, 2**20)],
 )
 def test_guide_size(size, buckets):
     guide = guide_table(np.linspace(1.0 / size, 1.0, size))
@@ -135,3 +179,19 @@ def test_property_matches_reference(weights, extra, seed):
         u = np.concatenate([hard_uniforms(cdf, guide), extra, rng.stream_doubles(seed, 200)])
         assert np.array_equal(inverse_cdf(cdf, u, guide), reference(cdf, u))
     assert np.all(pv.weights[sample_from_cdf(pv.cdf, seed, 200, pv.guide)] > 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=weights_with_zeros,
+    repeat=st.integers(1, 60),
+    seed=st.integers(0, 2**64 - 1),
+    buckets=st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=200),
+)
+def test_property_word_route_matches_reference(weights, repeat, seed, buckets):
+    # Up to 18000 outcomes: guides at the 2**13 floor and above it, up to 2**17.
+    cdf = np.cumsum(np.tile(weights, repeat))
+    guide = guide_table(cdf)
+    j = np.array(buckets, dtype=np.uint64) % np.uint64(guide.size - 1)
+    words = np.concatenate([hard_words(cdf, guide, j), rng.stream_uint64(seed, 500)])
+    assert np.array_equal(word_draws(cdf, guide, words), reference(cdf, doubles_of(words)))
