@@ -61,7 +61,11 @@ def _resolve_m(args) -> int:
     if args.m is not None:
         return _key_count(args.m, "--m")
     if args.load is not None:
-        return _key_count(args.load * args.n, "--load")
+        try:
+            m = args.load * args.n
+        except OverflowError:  # n beyond the float range, so beyond the cap too
+            raise ValueError("slot count exceeds the maximum supported size 2**24") from None
+        return _key_count(m, "--load")
     raise UsageError("one of --m or --load is required")
 
 

@@ -47,10 +47,17 @@ from .probability import (
 RECORD_CAP = 10**6
 RESERVOIR_SIZE = 10**4
 
-# Trials are drawn in blocks of max(1, _BLOCK_DRAWS // m) with one stream and
-# one sampler call per block, which shares the fixed cost of those calls
-# among short trials.  The rows are the per-trial draws, so no output moves.
-_BLOCK_DRAWS = 2**13
+# Trials are drawn in blocks of B = max(1, _BLOCK_DRAWS // m) with one stream
+# and one sampler call per block, which shares the fixed cost of those calls
+# (about 25 numpy calls) among the trials.  The rows are the per-trial draws,
+# so no output moves.  Sampler time per trial (2-CPU Xeon, numpy 2.4): Zipf
+# over 2**20 at m = 6400 took 261 us at B = 1, 194 at B = 5, 189 at B = 10 and
+# 201 at B = 20; m = 10**4 over 100 outcomes 120, 92, 87 and 101 us at B = 1,
+# 3, 6 and 13.  The ceiling is the 2 MiB L2 cache: the sampler holds about
+# 30 bytes per draw (word, bucket, index, window end), so 2**16 draws fill it
+# and 2**17 spill.  In benchmark runs 2**15 and 2**16 were level on the Zipf
+# workload and 2**16 led on the other two.
+_BLOCK_DRAWS = 2**16
 
 # Stream tag for reservoir-replacement decisions, far outside any trial index,
 # and how many of its doubles are drawn at a time.

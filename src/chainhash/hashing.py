@@ -80,11 +80,17 @@ class HashModel:
 
         Reproducible by construction — the table is
         ``stream_uint64(seed, universe) % n`` (modulo bias is below 2**-39
-        for the permitted n <= 2**24).
+        for the permitted n <= 2**24), taken ``rng._CHUNK`` words at a time
+        into the int64 table's uint64 view: no full-length temporary is made.
         """
         universe = _check_size(universe, "universe size")
         n = _check_size(n, "slot count")
-        table = (rng.stream_uint64(seed, universe) % np.uint64(n)).astype(np.int64)
+        table = np.empty(universe, dtype=np.int64)
+        words = table.view(np.uint64)
+        for start in range(0, universe, rng._CHUNK):
+            stop = min(start + rng._CHUNK, universe)
+            chunk = rng.stream_uint64(seed, stop - start, start)
+            np.remainder(chunk, np.uint64(n), out=words[start:stop])
         table.flags.writeable = False
         return cls("fixed-table", table, universe, n)
 

@@ -286,24 +286,30 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, bucket: np.ndarray, unifo
     """The draws of a flat array of buckets, as :func:`inverse_cdf` sets out.
 
     ``uniforms(at)`` returns the doubles u at the flat positions ``at``; it
-    is called once, for the draws whose bucket holds a cdf step.
+    is called once, for the draws whose bucket holds a cdf step, and not at
+    all when no draw lands in such a bucket.  The draws that take a step
+    are gathered by index, and their results are scattered back with ``put``.
     """
     idx = guide.take(bucket).astype(np.int64)
     end = guide[1:].take(bucket)
     wide = np.flatnonzero(idx < end)
+    if not wide.size:
+        return idx
+    last = idx.take(wide)
     t = uniforms(wide) * cdf[-1]
-    ahead = cdf[idx[wide]] <= t
-    wide, t = wide[ahead], t[ahead]
-    if wide.size:
-        last, stop = idx[wide], end[wide]
+    ahead = np.flatnonzero(cdf.take(last) <= t)
+    if ahead.size:
+        wide, last, t = wide.take(ahead), last.take(ahead), t.take(ahead)
+        stop = end.take(wide)
         step = 1 << (int((stop - last).max()) - 1).bit_length()
+        probe = np.empty_like(last)
         while step > 1:
             step >>= 1
-            probe = last + step
+            np.add(last, step, out=probe)
             ok = cdf.take(probe, mode="clip") <= t
             # Past the window cdf > t, unless t rounded up to cdf[-1]
             # (possible only for a subnormal total).
             ok &= probe < stop
             np.copyto(last, probe, where=ok)
-        idx[wide] = last + 1
+        idx.put(wide, last + 1)
     return idx

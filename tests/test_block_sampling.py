@@ -66,11 +66,29 @@ def test_block_rows_equal_single_trial_draws(monkeypatch, name, block, trials):
 
 
 def test_two_keys_per_trial(monkeypatch):
-    # m=2 gives the largest block: 4096 trials a call, the second call partial.
-    q, trials = make_zipf(64, 1.0), 5000
+    # m=2 gives the largest block, _BLOCK_DRAWS // 2 trials a call; the second call is partial.
+    q, block = make_zipf(64, 1.0), experiments._BLOCK_DRAWS // 2
+    trials = block + 7
     seen, calls = blocked_keys(monkeypatch, q, 2, trials, 7, experiments._BLOCK_DRAWS)
-    assert calls == [4096, trials - 4096]
+    assert calls == [block, 7]
     expected = alone(q, 2, trials, 7)
+    assert len(seen) == trials
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+
+
+def test_rows_with_step_buckets_equal_single_trial_draws(monkeypatch):
+    # Zipf over 2**20 with its 2**20-bucket guide: a fifth of the draws land
+    # in a bucket that holds a cdf step, so each row goes through the
+    # gather, the halving steps and the scatter of the guided search.
+    q, m, trials, base_seed = make_zipf(2**20, 1.0), 6400, 7, 108
+    seen, calls = blocked_keys(monkeypatch, q, m, trials, base_seed, 3 * m)
+    assert calls == [3, 3, 1]
+    words = rng.stream_uint64([rng.trial_seed(base_seed, t) for t in range(trials)], m)
+    bucket = (words >> np.uint64(64 - 20)).astype(np.int64)
+    assert q.guide.size == 2**20 + 1
+    assert np.all((q.guide[bucket] < q.guide[bucket + 1]).sum(axis=1) > m // 10)
+    expected = alone(q, m, trials, base_seed)
+    assert len(seen) == trials
     assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
 
 

@@ -81,6 +81,13 @@ class TestEstimate:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {named} gives m = ") and "2**24" in err
 
+    @pytest.mark.parametrize("load", ["1", "0"])
+    def test_slot_count_beyond_the_float_range_is_domain_error(self, capsys, no_stream, load):
+        # --load times an n above 1.8e308 cannot be formed as a float.
+        code, out, err = run(capsys, "estimate", "--n", str(10**400), "--load", load)
+        assert (code, out) == (1, "")
+        assert err == "error: slot count exceeds the maximum supported size 2**24\n"
+
     @pytest.mark.parametrize("flags", [["--m", str(MAX_SIZE)], ["--load", "1048576"]])
     def test_key_count_at_the_cap_is_sampled(self, no_stream, flags):
         with pytest.raises(StreamDrawn) as drawn:

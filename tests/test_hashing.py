@@ -62,6 +62,18 @@ class TestHashModel:
         again = HashModel.random_table(100, 7, seed=42)
         assert np.array_equal(h.table, again.table)
 
+    @pytest.mark.parametrize(
+        "universe", [1, rng._CHUNK - 1, rng._CHUNK, rng._CHUNK + 1, 3 * rng._CHUNK + 5]
+    )
+    @pytest.mark.parametrize("n", [1, 7, 64, 1000, MAX_SIZE - 3, MAX_SIZE])
+    def test_chunked_random_table_equals_the_whole_stream_rule(self, universe, n):
+        # The table is built a stream chunk at a time; it must equal the rule
+        # applied to the whole stream at once, on and either side of a chunk edge.
+        h = HashModel.random_table(universe, n, seed=2**64 - 3)
+        expected = (rng.stream_uint64(2**64 - 3, universe) % np.uint64(n)).astype(np.int64)
+        assert h.table.dtype == np.int64 and not h.table.flags.writeable
+        assert np.array_equal(h.table, expected)
+
     def test_slot_of_range_checked(self):
         h = HashModel.identity(4)
         with pytest.raises(ValueError):

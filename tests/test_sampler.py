@@ -79,6 +79,15 @@ def hard_uniforms(cdf, guide):
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+def parts(values, size=2**20):
+    """Consecutive slices of at most ``size`` values.
+
+    The draws are elementwise, so checking every slice checks the whole
+    array; the temporaries of a 2**21-entry cdf's hard words stay small.
+    """
+    return (values[i : i + size] for i in range(0, values.size, size))
+
+
 NAMED = {
     "uniform-64": lambda: make_uniform(64),
     "uniform-100": lambda: make_uniform(100),
@@ -93,6 +102,9 @@ NAMED = {
     "size-2": lambda: ProbabilityVector([0.3, 0.7]),
     "size-3-zero-tail": lambda: ProbabilityVector([1.0, 2.0, 0.0]),
     "size-65537": lambda: make_zipf(2**16 + 1, 0.5),
+    # Above the 2**20 bucket cap: windows span several cdf entries, so the
+    # search takes more than one halving step.
+    "zipf-2^21+1": lambda: make_zipf(2**21 + 1, 1.0),
 }
 
 
@@ -112,14 +124,14 @@ class TestNamedDistributions:
         assert np.array_equal(sample_from_cdf(cdf, 5, 500), expected)
 
     def test_bucket_edges_match(self, named):
-        u = hard_uniforms(named.cdf, named.guide)
-        assert np.array_equal(inverse_cdf(named.cdf, u, named.guide), reference(named.cdf, u))
+        for u in parts(hard_uniforms(named.cdf, named.guide)):
+            assert np.array_equal(inverse_cdf(named.cdf, u, named.guide), reference(named.cdf, u))
 
     def test_word_route_matches(self, named):
-        words = hard_words(named.cdf, named.guide)
-        expected = reference(named.cdf, doubles_of(words))
-        assert np.array_equal(word_draws(named.cdf, named.guide, words), expected)
-        assert np.array_equal(inverse_cdf(named.cdf, doubles_of(words), named.guide), expected)
+        for words in parts(hard_words(named.cdf, named.guide)):
+            expected = reference(named.cdf, doubles_of(words))
+            assert np.array_equal(word_draws(named.cdf, named.guide, words), expected)
+            assert np.array_equal(inverse_cdf(named.cdf, doubles_of(words), named.guide), expected)
 
     def test_result_type_and_zero_weights(self, named):
         keys = sample(named, 3, 4000).keys
