@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Any
 
 from . import bounds, experiments, rng, search_time
@@ -187,17 +187,11 @@ def cmd_combined_query(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = experiments.ExperimentConfig.from_file(args.config)
-    overrides = cfg.to_dict()
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.out is not None:
-        overrides["output"] = args.out
-    if args.csv is not None:
-        overrides["csv"] = args.csv
-    cfg = experiments.ExperimentConfig.from_dict(overrides)
+    flags = dict(trials=args.trials, base_seed=args.seed, output=args.out, csv_path=args.csv)
+    cfg = replace(
+        experiments.ExperimentConfig.from_file(args.config),
+        **{field: value for field, value in flags.items() if value is not None},
+    )
     report = experiments.run_experiment(cfg)
     if args.json:
         print(report.to_json())
@@ -216,6 +210,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_perturbation_check(args) -> int:
     m = _key_count(args.m, "--m")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     hash_spec = {"mode": "identity"}
     if args.universe is not None:
         hash_spec = {"mode": "random-table", "universe": args.universe, "seed": args.table_seed}
@@ -245,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_dist_flags(p):
-        p.add_argument("--dist", choices=experiments.DIST_NAMES, default="uniform")
+        p.add_argument("--dist", choices=experiments.SPECS["distribution"], default="uniform")
         p.add_argument("--zipf-exp", type=float, default=1.0)
         p.add_argument("--alpha", type=float, default=0.1)
 
     def add_hash_flags(p):
-        p.add_argument("--hash", choices=experiments.HASH_MODES, default="identity")
+        p.add_argument("--hash", choices=experiments.SPECS["hash"], default="identity")
         p.add_argument("--universe", type=int)
         p.add_argument("--table-seed", type=int, default=0)
         p.add_argument("--table-file")

@@ -66,26 +66,9 @@ _RESERVOIR_BLOCK = 2**16
 
 CSV_HEADER = ("trial", "value", "rel_error", "violation")
 
-# Spec keys beside the name, with their defaults; None marks a required key.
-_DISTRIBUTIONS = {
-    "uniform": {},
-    "zipf": {"exponent": 1.0},
-    "restricted": {"alpha": None},
-    "pointmass": {"index": 0},
-}
-_HASH_MODES = {
-    "identity": {},
-    "random-table": {"universe": None, "seed": 0},
-    "table-file": {"path": None},
-}
-
-DIST_NAMES = tuple(_DISTRIBUTIONS)
-HASH_MODES = tuple(_HASH_MODES)
-
 # Each bound name of a config kind, with its function and that function's
-# parameter names in argument order.  A run supplies the parameters in
-# _RUN_SUPPLIED; every other one is a required key of the bound spec.  The
-# CLI's `bound` and `ast-bound` commands read the same table.
+# parameter names in argument order.  The CLI's `bound` and `ast-bound`
+# commands read the same table.
 BOUNDS = {
     "collision": {
         "polynomial": (polynomial_tail_bound, ("n", "beta", "lambda")),
@@ -99,14 +82,26 @@ BOUNDS = {
         "eps-form": (search_time.search_time_bound_eps, ("L", "n", "v_norm", "p_norm", "epsilon")),
     },
 }
-_RUN_SUPPLIED = {"n", "L", "v_norm", "p_norm"}
-_BOUND_SPECS = {
-    kind: {
-        name: dict.fromkeys(key for key in params if key not in _RUN_SUPPLIED)
-        for name, (_, params) in table.items()
-    }
-    for kind, table in BOUNDS.items()
+
+# Every spec kind: each name, with its builder and the builder's parameter
+# names in argument order.  The caller of _from_spec supplies some of them
+# (the size, the slot count, measured norms); every other one is a spec key,
+# required unless _SPEC_DEFAULTS holds it.
+SPECS = {
+    "distribution": {
+        "uniform": (make_uniform, ("size",)),
+        "zipf": (make_zipf, ("size", "exponent")),
+        "restricted": (make_restricted_uniform, ("size", "alpha")),
+        "pointmass": (make_point_mass, ("size", "index")),
+    },
+    "hash": {
+        "identity": (HashModel.identity, ("n",)),
+        "random-table": (HashModel.random_table, ("universe", "n", "seed")),
+        "table-file": (HashModel.from_file, ("path", "n")),
+    },
+    **BOUNDS,
 }
+_SPEC_DEFAULTS = {"exponent": 1.0, "index": 0, "seed": 0}
 
 
 def _check_keys(data: Mapping[str, Any], required, allowed, what: str) -> None:
@@ -119,60 +114,38 @@ def _check_keys(data: Mapping[str, Any], required, allowed, what: str) -> None:
         raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
-def _spec_fields(spec: Mapping[str, Any], tag: str, what: str, schema) -> tuple[str, dict]:
-    """The name a spec gives under ``tag``, and its other keys with defaults filled in.
+def _from_spec(spec: Mapping[str, Any], kind: str, tag: str, what: str, **supplied):
+    """Call the ``SPECS[kind]`` builder that the spec names under ``tag``.
 
-    A name outside ``schema``, a missing required key or a key the name does
-    not take raises ValueError naming it.
+    ``supplied`` gives some of its parameters; the spec's keys, with
+    ``_SPEC_DEFAULTS`` filled in, give the rest.  A name outside the table,
+    a key the name does not take, a missing required key or a value of the
+    wrong type raises ValueError naming it.
     """
+    table = SPECS[kind]
     name = spec.get(tag)
-    if type(name) is not str or name not in schema:
-        raise ValueError(f"unknown {what} {tag} {name!r}; expected one of {tuple(schema)}")
+    if type(name) is not str or name not in table:
+        raise ValueError(f"unknown {what} {tag} {name!r}; expected one of {tuple(table)}")
+    fn, params = table[name]
     given = {key: value for key, value in spec.items() if key != tag}
-    keys = schema[name]
-    required = [key for key, default in keys.items() if default is None]
+    keys = [key for key in params if key not in supplied]
+    required = [key for key in keys if key not in _SPEC_DEFAULTS]
     _check_keys(given, required, keys, f"{what} {name!r}")
-    return name, {**keys, **given}
+    fields = {**_SPEC_DEFAULTS, **given}
+    return fn(*[
+        supplied[key] if key in supplied else _SPEC_READERS.get(key, _config_float)(fields, key)
+        for key in params
+    ])
 
 
 def distribution_from_spec(spec: Mapping[str, Any], size: int) -> ProbabilityVector:
     """Build a named distribution over ``size`` outcomes from a config mapping."""
-    name, fields = _spec_fields(spec, "name", "distribution", _DISTRIBUTIONS)
-    if name == "zipf":
-        return make_zipf(size, _config_float(fields, "exponent"))
-    if name == "restricted":
-        return make_restricted_uniform(size, _config_float(fields, "alpha"))
-    if name == "pointmass":
-        return make_point_mass(size, _config_int(fields, "index"))
-    return make_uniform(size)
+    return _from_spec(spec, "distribution", "name", "distribution", size=size)
 
 
 def hash_from_spec(spec: Mapping[str, Any], n: int) -> HashModel:
     """Build a hash model from a config mapping (identity / random / file table)."""
-    mode, fields = _spec_fields(spec, "mode", "hash", _HASH_MODES)
-    if mode == "random-table":
-        universe, seed = _config_int(fields, "universe"), _config_int(fields, "seed")
-        return HashModel.random_table(universe, n, seed)
-    if mode == "table-file":
-        if type(fields["path"]) is not str:  # open() takes an int as a file descriptor
-            raise ValueError(f"config key 'path' must be a string, got {fields['path']!r}")
-        return HashModel.from_file(fields["path"], n)
-    return HashModel.identity(n)
-
-
-_CONFIG_KEYS = {
-    "kind",
-    "n",
-    "m",
-    "trials",
-    "base_seed",
-    "distribution",
-    "hash",
-    "bound",
-    "access_pattern",
-    "output",
-    "csv",
-}
+    return _from_spec(spec, "hash", "mode", "hash", n=n)
 
 
 def _config_int(data: Mapping[str, Any], key: str) -> int:
@@ -196,13 +169,21 @@ def _config_float(data: Mapping[str, Any], key: str) -> float:
 
 
 def _config_spec(data: Mapping[str, Any], key: str, optional: bool = False) -> dict | None:
-    """A nested spec: a JSON object, copied; absent or null is None where ``optional``."""
+    """A nested spec: a JSON object, copied; absent, null or {} is None where ``optional``."""
     value = data.get(key)
-    if value is None and optional:
+    if optional and value in (None, {}):
         return None
     if not isinstance(value, dict):
         raise ValueError(f"config key {key!r} must be a JSON object, got {value!r}")
     return dict(value)
+
+
+def _config_str(data: Mapping[str, Any], key: str) -> str:
+    """A string config field (open() would take an int as a file descriptor)."""
+    value = data[key]
+    if type(value) is not str:
+        raise ValueError(f"config key {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _config_path(data: Mapping[str, Any], key: str) -> str | None:
@@ -211,6 +192,26 @@ def _config_path(data: Mapping[str, Any], key: str) -> str | None:
     if value is not None and type(value) is not str:  # open() takes an int as a file descriptor
         raise ValueError(f"config key {key!r} must be a string or null, got {value!r}")
     return value
+
+
+# The reader of each spec key that is not a finite real.
+_SPEC_READERS = dict(universe=_config_int, seed=_config_int, index=_config_int, path=_config_str)
+
+# Each config key, with its ExperimentConfig field and its reader, in the
+# order from_dict reads them and to_dict writes them.  The first eight are required.
+_CONFIG_FIELDS = {
+    "kind": ("kind", lambda data, key: data[key]),
+    "n": ("n", _config_int),
+    "m": ("m", _config_int),
+    "trials": ("trials", _config_int),
+    "base_seed": ("base_seed", _config_int),
+    "distribution": ("distribution", _config_spec),
+    "hash": ("hash_spec", _config_spec),
+    "bound": ("bound", _config_spec),
+    "access_pattern": ("access_pattern", lambda data, key: _config_spec(data, key, optional=True)),
+    "output": ("output", _config_path),
+    "csv": ("csv_path", _config_path),
+}
 
 
 @dataclass(frozen=True)
@@ -243,21 +244,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        required = ("kind", "n", "m", "trials", "base_seed", "distribution", "hash", "bound")
-        _check_keys(data, required, _CONFIG_KEYS, "config")
-        return cls(
-            kind=data["kind"],
-            n=_config_int(data, "n"),
-            m=_config_int(data, "m"),
-            trials=_config_int(data, "trials"),
-            base_seed=_config_int(data, "base_seed"),
-            distribution=_config_spec(data, "distribution"),
-            hash_spec=_config_spec(data, "hash"),
-            bound=_config_spec(data, "bound"),
-            access_pattern=_config_spec(data, "access_pattern", optional=True),
-            output=_config_path(data, "output"),
-            csv_path=_config_path(data, "csv"),
-        )
+        _check_keys(data, list(_CONFIG_FIELDS)[:8], _CONFIG_FIELDS, "config")
+        return cls(**{field: read(data, key) for key, (field, read) in _CONFIG_FIELDS.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -265,19 +253,8 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "distribution": dict(self.distribution),
-            "hash": dict(self.hash_spec),
-            "bound": dict(self.bound),
-            "access_pattern": dict(self.access_pattern) if self.access_pattern else None,
-            "output": self.output,
-            "csv": self.csv_path,
-        }
+        values = {key: getattr(self, field) for key, (field, _) in _CONFIG_FIELDS.items()}
+        return {key: dict(v) if isinstance(v, Mapping) else v for key, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -359,22 +336,16 @@ class ExperimentReport:
 
 def resolve_collision_bound(spec: Mapping[str, Any], n: int, m: int) -> DeviationBound:
     """Evaluate the configured deviation bound (validates its preconditions)."""
-    return _resolve_bound(spec, "collision", "collision bound", n=n, L=m / n)
+    return _from_spec(spec, "collision", "name", "collision bound", n=n, L=m / n)
 
 
 def resolve_ast_bound(
     spec: Mapping[str, Any], L: float, n: int, v_norm: float, p_norm: float
 ) -> search_time.SearchTimeBound:
     """Evaluate the configured search-time bound from measured norms."""
-    return _resolve_bound(spec, "ast", "search-time bound", L=L, n=n, v_norm=v_norm, p_norm=p_norm)
-
-
-def _resolve_bound(spec: Mapping[str, Any], kind: str, what: str, **supplied):
-    """Call the ``BOUNDS[kind]`` function the spec names; its real keys fill the rest."""
-    name, fields = _spec_fields(spec, "name", what, _BOUND_SPECS[kind])
-    fn, params = BOUNDS[kind][name]
-    args = [supplied[key] if key in supplied else _config_float(fields, key) for key in params]
-    return fn(*args)
+    return _from_spec(
+        spec, "ast", "name", "search-time bound", L=L, n=n, v_norm=v_norm, p_norm=p_norm
+    )
 
 
 def _kept_trials(trials: int, base_seed: int, record_cap: int, reservoir_size: int):
@@ -441,11 +412,7 @@ def _collision_measure(h: HashModel, p_norm_sq: float, ceiling: float):
     return measure
 
 
-def run_collision_trials(
-    cfg: ExperimentConfig,
-    record_cap: int = RECORD_CAP,
-    reservoir_size: int = RESERVOIR_SIZE,
-) -> ExperimentReport:
+def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
     """Measure how often the relative error exceeds the configured bound.
 
     Each trial samples m keys, hashes them, computes the empirical collision
@@ -461,7 +428,7 @@ def run_collision_trials(
     p_norm_sq = norm_sq(slot_probabilities(q, h))
     bound = resolve_collision_bound(cfg.bound, cfg.n, cfg.m)
 
-    kept = _kept_trials(cfg.trials, cfg.base_seed, record_cap, reservoir_size)
+    kept = _kept_trials(cfg.trials, cfg.base_seed, RECORD_CAP, RESERVOIR_SIZE)
     measure = _collision_measure(h, p_norm_sq, bound.error_bound)
     stats, _, violations, records = _run_trials(
         q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "rel_error"
@@ -483,11 +450,7 @@ def run_collision_trials(
     )
 
 
-def run_ast_trials(
-    cfg: ExperimentConfig,
-    record_cap: int = RECORD_CAP,
-    reservoir_size: int = RESERVOIR_SIZE,
-) -> ExperimentReport:
+def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
     """Measure how often the search-time proxy exceeds the configured bound.
 
     Per trial both search-time variants are computed: the multiplicity proxy
@@ -510,7 +473,7 @@ def run_ast_trials(
         upper = search_time.search_time_upper(v, count_slots(x, h))
         return upper, search_time.average_search_time(v, x, h), upper > bound.value
 
-    kept = _kept_trials(cfg.trials, cfg.base_seed, record_cap, reservoir_size)
+    kept = _kept_trials(cfg.trials, cfg.base_seed, RECORD_CAP, RESERVOIR_SIZE)
     upper_stats, exact_stats, violations, records = _run_trials(
         q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "ast_exact"
     )
@@ -531,16 +494,12 @@ def run_ast_trials(
     )
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    record_cap: int = RECORD_CAP,
-    reservoir_size: int = RESERVOIR_SIZE,
-) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispatch on config kind and honor its output/csv paths."""
     if cfg.kind == "collision":
-        report = run_collision_trials(cfg, record_cap, reservoir_size)
+        report = run_collision_trials(cfg)
     else:
-        report = run_ast_trials(cfg, record_cap, reservoir_size)
+        report = run_ast_trials(cfg)
     if cfg.output:
         report.write_json(cfg.output)
     if cfg.csv_path:

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import rng
-from .probability import KeySequence, ProbabilityVector
+from .probability import KeySequence, ProbabilityVector, check_integral
 
 # Guardrail against accidental huge allocations; both U and n must stay under it.
 MAX_SIZE = 2**24
@@ -62,12 +62,7 @@ class HashModel:
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("table must be a nonempty 1-d sequence")
         _check_size(raw.size, "universe size")
-        if raw.dtype.kind == "f":
-            integral = np.all(np.isfinite(raw) & (raw == np.trunc(raw)))
-        else:
-            integral = raw.dtype.kind in "iu"
-        if not integral:
-            raise ValueError("table entries must be integers")
+        check_integral(raw, "table entries")
         if raw.min() < 0 or raw.max() >= n:
             raise ValueError("table entries must lie in [0, n)")
         arr = raw.astype(np.int64)
@@ -157,10 +152,13 @@ class SlotCounts:
     __slots__ = ("_counts", "_m")
 
     def __init__(self, counts):
-        arr = np.asarray(counts, dtype=np.int64)
+        arr = np.asarray(counts)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
-        if arr.size and int(arr.min()) < 0:
+        if arr.dtype != np.int64:  # bincount's counts skip the check
+            check_integral(arr, "counts")
+            arr = arr.astype(np.int64)
+        if int(arr.min()) < 0:
             raise ValueError("counts must be nonnegative")
         arr = arr.copy()
         arr.flags.writeable = False

@@ -95,6 +95,16 @@ class ProbabilityVector:
         return f"ProbabilityVector(size={len(self)})"
 
 
+def check_integral(arr: np.ndarray, what: str) -> None:
+    """Reject a fractional, non-finite or non-numeric entry (O(1) on integer arrays)."""
+    if arr.dtype.kind == "f":
+        integral = np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
+    else:
+        integral = arr.dtype.kind in "iu"
+    if not integral:
+        raise ValueError(f"{what} must be integers")
+
+
 class KeySequence:
     """An ordered sequence of key indices drawn from {0, .., universe-1}."""
 
@@ -103,9 +113,12 @@ class KeySequence:
     def __init__(self, keys: Sequence[int] | np.ndarray, universe: int):
         if universe < 1:
             raise ValueError("universe size must be positive")
-        arr = np.asarray(keys, dtype=np.int64)
+        arr = np.asarray(keys)
         if arr.ndim != 1:
             raise ValueError("keys must be a 1-d sequence")
+        if arr.dtype != np.int64:  # the sampler's keys skip the check
+            check_integral(arr, "keys")
+            arr = arr.astype(np.int64)
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= universe):
             raise ValueError("key index out of range for universe size %d" % universe)
         arr.flags.writeable = False

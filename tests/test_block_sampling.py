@@ -118,12 +118,14 @@ CONFIGS = {
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_outputs_do_not_depend_on_the_block_size(monkeypatch, tmp_path, kind):
+    monkeypatch.setattr(experiments, "RECORD_CAP", 20)
+    monkeypatch.setattr(experiments, "RESERVOIR_SIZE", 5)
     outputs = set()
     for block_draws in (1, 3 * 2000, 7 * 2000, experiments._BLOCK_DRAWS):
         monkeypatch.setattr(experiments, "_BLOCK_DRAWS", block_draws)
         path = tmp_path / f"{block_draws}.csv"
         cfg = ExperimentConfig.from_dict({**CONFIGS[kind], "csv": str(path)})
-        report = run_experiment(cfg, record_cap=20, reservoir_size=5)
+        report = run_experiment(cfg)
         outputs.add((report.aggregates_json(), path.read_bytes(), repr(report.records)))
     assert len(outputs) == 1
 

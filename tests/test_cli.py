@@ -516,6 +516,12 @@ class TestPerturbationCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: --m gives m = 16777217") and "2**24" in err
 
+    @pytest.mark.parametrize("trials", ["-3", "0"])
+    def test_trial_count_below_one_is_domain_error(self, capsys, no_stream, trials):
+        argv = ["perturbation-check", "--n", "16", "--m", "10", "--trials", trials]
+        expected = f"error: --trials must be at least 1, got {trials}\n"
+        assert run(capsys, *argv) == (1, "", expected)
+
     def test_reports_zero_violations(self, capsys):
         code, out, _ = run(
             capsys,

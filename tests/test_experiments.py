@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chainhash import rng
+from chainhash import experiments, rng
 from chainhash.estimator import empirical_collision_probability, relative_error
 from chainhash.experiments import (
     ExperimentConfig,
@@ -100,8 +100,14 @@ class TestConfig:
             collision_config(m=1)
         with pytest.raises(ValueError):
             ast_config(access_pattern=None)
+        with pytest.raises(ValueError, match="access_pattern"):
+            ast_config(access_pattern={})
         with pytest.raises(ValueError):
             collision_config(kind="nonsense")
+
+    def test_empty_access_pattern_is_none(self):
+        cfg = collision_config(access_pattern={})
+        assert cfg.access_pattern is None and cfg.to_dict()["access_pattern"] is None
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -234,6 +240,65 @@ class TestSpecBoundary:
         assert distribution_from_spec({"name": "pointmass"}, 8).weights[0] == 1.0
 
 
+# Each spec kind: the key that names its entry, the arguments its builder
+# supplies itself, and the builder.
+SPEC_BUILDERS = {
+    "distribution": ("name", {"size"}, lambda spec: distribution_from_spec(spec, 64)),
+    "hash": ("mode", {"n"}, lambda spec: hash_from_spec(spec, 64)),
+    "collision": ("name", {"n", "L"}, lambda spec: resolve_collision_bound(spec, 64, 6400)),
+    "ast": (
+        "name",
+        {"L", "n", "v_norm", "p_norm"},
+        lambda spec: resolve_ast_bound(spec, 100.0, 100, 0.3, 0.1),
+    ),
+}
+
+
+@pytest.fixture
+def spec_values(tmp_path):
+    """A valid value for every spec key (a 64-slot table file for ``path``)."""
+    path = tmp_path / "table.txt"
+    path.write_text("".join(f"{i % 64}\n" for i in range(256)))
+    return {
+        "exponent": 1.5, "alpha": 0.5, "index": 3, "universe": 256, "seed": 4,
+        "path": str(path), "epsilon": 0.15, "delta": 0.5, "s": 2.0, "beta": 1.0, "lambda": 1.0,
+    }
+
+
+class TestSpecTable:
+    """Every entry of ``experiments.SPECS`` checks its keys by name."""
+
+    ENTRIES = [(kind, name) for kind, table in experiments.SPECS.items() for name in table]
+
+    @staticmethod
+    def required_spec(kind, name, values):
+        tag, supplied, _ = SPEC_BUILDERS[kind]
+        params = experiments.SPECS[kind][name][1]
+        required = [
+            key for key in params if key not in supplied and key not in experiments._SPEC_DEFAULTS
+        ]
+        return tag, {key: values[key] for key in required}
+
+    @pytest.mark.parametrize("kind, name", ENTRIES)
+    def test_required_keys_alone_build(self, kind, name, spec_values):
+        tag, required = self.required_spec(kind, name, spec_values)
+        assert SPEC_BUILDERS[kind][2]({tag: name, **required}) is not None
+
+    @pytest.mark.parametrize("kind, name", ENTRIES)
+    def test_unknown_key_rejected_by_name(self, kind, name, spec_values):
+        tag, required = self.required_spec(kind, name, spec_values)
+        with pytest.raises(ValueError, match="unknown .*'bogus'"):
+            SPEC_BUILDERS[kind][2]({tag: name, **required, "bogus": 1.0})
+
+    @pytest.mark.parametrize("kind, name", ENTRIES)
+    def test_missing_key_rejected_by_name(self, kind, name, spec_values):
+        tag, required = self.required_spec(kind, name, spec_values)
+        for key in required:
+            spec = {tag: name, **{k: v for k, v in required.items() if k != key}}
+            with pytest.raises(ValueError, match=f"missing .*{key!r}"):
+                SPEC_BUILDERS[kind][2](spec)
+
+
 class TestCollisionTrials:
     def test_point_mass_is_exact_every_trial(self):
         report = run_collision_trials(
@@ -347,20 +412,24 @@ class TestReportOutput:
 
 
 class TestReservoir:
-    def test_small_cap_keeps_deterministic_sample(self):
+    def test_small_cap_keeps_deterministic_sample(self, monkeypatch):
         cfg = collision_config(trials=300)
-        a = run_collision_trials(cfg, record_cap=100, reservoir_size=20)
-        b = run_collision_trials(cfg, record_cap=100, reservoir_size=20)
+        monkeypatch.setattr("chainhash.experiments.RECORD_CAP", 100)
+        monkeypatch.setattr("chainhash.experiments.RESERVOIR_SIZE", 20)
+        a = run_collision_trials(cfg)
+        b = run_collision_trials(cfg)
         assert len(a.records) == 20
         assert a.records == b.records
         trials_kept = [rec.trial for rec in a.records]
         assert trials_kept == sorted(trials_kept)
         assert all(0 <= t < 300 for t in trials_kept)
 
-    def test_aggregates_cover_all_trials_regardless_of_cap(self):
+    def test_aggregates_cover_all_trials_regardless_of_cap(self, monkeypatch):
         cfg = collision_config(trials=300)
-        capped = run_collision_trials(cfg, record_cap=100, reservoir_size=20)
         full = run_collision_trials(cfg)
+        monkeypatch.setattr("chainhash.experiments.RECORD_CAP", 100)
+        monkeypatch.setattr("chainhash.experiments.RESERVOIR_SIZE", 20)
+        capped = run_collision_trials(cfg)
         assert capped.aggregates_json() == full.aggregates_json()
 
 

@@ -169,6 +169,18 @@ class TestSlotCounts:
         with pytest.raises(ValueError):
             SlotCounts([])
 
+    @pytest.mark.parametrize(
+        "counts", [[1.5, 2.5], [0.0, 0.99], np.array([1.0, np.inf]), np.array([True, False])]
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        # asarray(dtype=int64) would truncate 1.5 to 1 and 2.5 to 2.
+        with pytest.raises(ValueError, match="counts must be integers"):
+            SlotCounts(counts)
+
+    def test_integral_float_counts_accepted(self):
+        k = SlotCounts(np.array([2.0, 0.0, 1.0]))
+        assert k.counts.dtype == np.int64 and k.counts.tolist() == [2, 0, 1] and k.m == 3
+
     def test_empty_sequence_gives_zero_counts(self):
         k = count_slots(KeySequence([], 4), HashModel.identity(4))
         assert k.m == 0 and np.all(k.counts == 0)

@@ -140,12 +140,12 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_report_outputs_match_pinned_digests(name, tmp_path):
+def test_report_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
     data, record_cap, reservoir_size = RUNS[name]
+    monkeypatch.setattr("chainhash.experiments.RECORD_CAP", record_cap)
+    monkeypatch.setattr("chainhash.experiments.RESERVOIR_SIZE", reservoir_size)
     path = tmp_path / "trials.csv"
-    report = run_experiment(
-        ExperimentConfig.from_dict({**data, "csv": str(path)}), record_cap, reservoir_size
-    )
+    report = run_experiment(ExperimentConfig.from_dict({**data, "csv": str(path)}))
     got = (
         sha(report.aggregates_json()),
         sha(path.read_bytes()),

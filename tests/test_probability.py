@@ -125,6 +125,18 @@ class TestKeySequence:
     def test_empty_allowed(self):
         assert len(KeySequence([], 4)) == 0
 
+    @pytest.mark.parametrize(
+        "keys", [[1.7, 2.9], [0.0, 0.99], np.array([0.0, np.nan]), np.array([False, True])]
+    )
+    def test_non_integer_keys_rejected(self, keys):
+        # asarray(dtype=int64) would truncate 1.7 to 1 and 2.9 to 2.
+        with pytest.raises(ValueError, match="keys must be integers"):
+            KeySequence(keys, 4)
+
+    def test_integral_float_keys_accepted(self):
+        x = KeySequence(np.array([1.0, 3.0]), 4)
+        assert x.keys.dtype == np.int64 and x.keys.tolist() == [1, 3]
+
 
 class TestSample:
     def test_point_mass_is_deterministic(self):

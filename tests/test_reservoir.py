@@ -97,7 +97,7 @@ def test_kept_trials_property(trials, record_cap, reservoir_size, base_seed):
     assert len(kept) == expected
 
 
-def test_capped_report_keeps_the_chosen_trials():
+def test_capped_report_keeps_the_chosen_trials(monkeypatch):
     cfg = experiments.ExperimentConfig.from_dict(
         {
             "kind": "collision", "n": 16, "m": 640, "trials": 120, "base_seed": 5,
@@ -105,7 +105,9 @@ def test_capped_report_keeps_the_chosen_trials():
             "bound": {"name": "load-factor", "epsilon": 0.3},
         }
     )
-    capped = experiments.run_collision_trials(cfg, record_cap=50, reservoir_size=30)
     full = experiments.run_collision_trials(cfg)
+    monkeypatch.setattr(experiments, "RECORD_CAP", 50)
+    monkeypatch.setattr(experiments, "RESERVOIR_SIZE", 30)
+    capped = experiments.run_collision_trials(cfg)
     kept = reference_kept(120, 5, 50, 30)
     assert capped.records == tuple(full.records[t] for t in kept)
