@@ -20,7 +20,7 @@ from typing import Any
 from . import bounds, experiments, rng, search_time
 from .estimator import empirical_collision_probability, relative_error
 from .hashing import MAX_SIZE, count_slots, slot_probabilities
-from .probability import KeySequence, norm_sq, sample
+from .probability import KeySequence, make_uniform, norm_sq, sample
 
 
 class UsageError(Exception):
@@ -59,47 +59,57 @@ def _resolve_m(args) -> int:
     if args.m is not None and args.load is not None:
         raise UsageError("give --m or --load, not both")
     if args.m is not None:
-        return _key_count(args.m, "--m")
+        return _key_count(args.m, "--m", 2, "estimator")
     if args.load is not None:
         try:
             m = args.load * args.n
         except OverflowError:  # n beyond the float range, so beyond the cap too
             raise ValueError("slot count exceeds the maximum supported size 2**24") from None
-        return _key_count(m, "--load")
+        return _key_count(m, "--load", 2, "estimator")
     raise UsageError("one of --m or --load is required")
 
 
-def _key_count(m: float, flag: str) -> int:
-    """round(m) keys, rejected above ``MAX_SIZE`` (before round(), which fails on inf)."""
+def _key_count(m: float, flag: str, least: int, what: str) -> int:
+    """round(m) keys, rejected above ``MAX_SIZE`` (before round(), which fails on inf)
+    or below ``least``, the fewest keys ``what`` is defined for."""
     if m > MAX_SIZE:
         raise ValueError(f"{flag} gives m = {m}, above the maximum key count 2**24")
+    if round(m) < least:
+        raise ValueError(f"{flag} gives m = {m}; {what} undefined for m < {least}")
     return int(round(m))
 
 
-def _hash_and_dist(args):
-    hash_spec = {"mode": args.hash}
-    if args.hash == "random-table":
-        if args.universe is None:
-            raise UsageError("--hash random-table requires --universe")
-        hash_spec.update(universe=args.universe, seed=args.table_seed)
-    elif args.hash == "table-file":
-        if args.table_file is None:
-            raise UsageError("--hash table-file requires --table-file")
-        hash_spec["path"] = args.table_file
-    h = experiments.hash_from_spec(hash_spec, args.n)
-    spec = {"name": args.dist}
-    if args.dist == "zipf":
-        spec["exponent"] = args.zipf_exp
-    elif args.dist == "restricted":
-        spec["alpha"] = args.alpha
-    q = experiments.distribution_from_spec(spec, h.universe)
-    return q, h
+# Flags named otherwise than the parameter they set (their argparse dest).
+_FLAG_NAMES = {"epsilon": "eps", "L": "load", "exponent": "zipf-exp", "path": "table-file"}
+
+
+def _flag(dest: str) -> str:
+    return "--" + _FLAG_NAMES.get(dest, dest.replace("_", "-"))
+
+
+def _call(args, entry, needs: str, **supplied):
+    """Call a ``(builder, params)`` entry on the flags whose dests are its params.
+
+    ``supplied`` gives the figures no flag sets; an absent flag takes its
+    ``experiments._SPEC_DEFAULTS`` value, and a parameter with neither is the
+    usage error "<needs> requires <flag>".
+    """
+    fn, params = entry
+    flags = {dest: value for dest, value in vars(args).items() if value is not None}
+    values = {**experiments._SPEC_DEFAULTS, **flags, **supplied}
+    missing = [name for name in params if name not in values]
+    if missing:
+        raise UsageError(f"{needs} requires {_flag(missing[0])}")
+    return fn(*[values[name] for name in params])
 
 
 def cmd_estimate(args) -> int:
     m = _resolve_m(args)
-    q, h = _hash_and_dist(args)
-    x = sample(q, args.seed, m)
+    h = _call(args, experiments.SPECS["hash"][args.hash], f"--hash {args.hash}")
+    q = _call(
+        args, experiments.SPECS["distribution"][args.dist], f"--dist {args.dist}", size=h.universe
+    )
+    x = sample(q, args.key_seed, m)
     est = empirical_collision_probability(count_slots(x, h))
     p_norm_sq = norm_sq(slot_probabilities(q, h))
     rel = relative_error(est, p_norm_sq)
@@ -116,14 +126,6 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-# Flags named otherwise than the bound parameter they set (their argparse dest).
-_FLAG_NAMES = {"epsilon": "eps", "L": "load"}
-
-
-def _flag(dest: str) -> str:
-    return "--" + _FLAG_NAMES.get(dest, dest.replace("_", "-"))
-
-
 def _check_finite(args) -> None:
     """Reject NaN and infinities in every real-valued flag, naming the flag."""
     for dest, value in vars(args).items():
@@ -132,12 +134,9 @@ def _check_finite(args) -> None:
                 raise ValueError(f"{_flag(dest)} must be finite, got {x}")
 
 
-def _print_bound(args, fn, params) -> int:
-    """Call ``fn`` on the flags whose dests are ``params``, in order, and print its fields."""
-    missing = [name for name in params if getattr(args, name) is None]
-    if missing:
-        raise UsageError(f"--form {args.form} requires {_flag(missing[0])}")
-    result = fn(*[getattr(args, name) for name in params])
+def _print_call(args, entry, needs: str) -> int:
+    """Print the fields of ``_call(args, entry, needs)``."""
+    result = _call(args, entry, needs)
     # BoundParams spells its lambda field `lam`, as `lambda` is a Python keyword.
     pairs = [("lambda" if key == "lam" else key, value) for key, value in asdict(result).items()]
     _print_fields(pairs, args.json)
@@ -146,12 +145,14 @@ def _print_bound(args, fn, params) -> int:
 
 def cmd_bound(args) -> int:
     if args.form == "params":
-        return _print_bound(args, bounds.params_from_load, ("n", "L", "epsilon"))
-    return _print_bound(args, *experiments.BOUNDS["collision"][args.form])
+        entry = (bounds.params_from_load, ("n", "L", "epsilon"))
+    else:
+        entry = experiments.BOUNDS["collision"][args.form]
+    return _print_call(args, entry, f"--form {args.form}")
 
 
 def cmd_ast_bound(args) -> int:
-    return _print_bound(args, *experiments.BOUNDS["ast"][f"{args.form}-form"])
+    return _print_call(args, experiments.BOUNDS["ast"][f"{args.form}-form"], f"--form {args.form}")
 
 
 def cmd_restricted_access(args) -> int:
@@ -178,14 +179,6 @@ def cmd_restricted_access(args) -> int:
     return 0
 
 
-def cmd_combined_query(args) -> int:
-    result = search_time.combined_query_bound(
-        args.c, args.alpha, args.alpha2, args.eps, args.load
-    )
-    _print_fields([("value", result.value), ("confidence", result.confidence)], args.json)
-    return 0
-
-
 def cmd_experiment(args) -> int:
     flags = dict(trials=args.trials, base_seed=args.seed, output=args.out, csv_path=args.csv)
     cfg = replace(
@@ -209,23 +202,21 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_perturbation_check(args) -> int:
-    m = _key_count(args.m, "--m")
+    m = _key_count(args.m, "--m", 1, "perturbation check")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    hash_spec = {"mode": "identity"}
-    if args.universe is not None:
-        hash_spec = {"mode": "random-table", "universe": args.universe, "seed": args.table_seed}
-    h = experiments.hash_from_spec(hash_spec, args.n)
-    q = experiments.distribution_from_spec({"name": "uniform"}, h.universe)
+    mode = "identity" if args.universe is None else "random-table"
+    h = _call(args, experiments.SPECS["hash"][mode], "perturbation-check")
+    q = make_uniform(h.universe)
     violations = 0
     for t in range(args.trials):
-        x = sample(q, rng.trial_seed(args.seed, 2 * t), m)
+        x = sample(q, rng.trial_seed(args.key_seed, 2 * t), m)
         # Overwrite a sliding prefix so the pairs sweep from identical (d=0)
         # to fully independent (d=m).
         d = t % (m + 1)
         y_keys = x.keys.copy()
         if d:
-            y_keys[:d] = sample(q, rng.trial_seed(args.seed, 2 * t + 1), d).keys
+            y_keys[:d] = sample(q, rng.trial_seed(args.key_seed, 2 * t + 1), d).keys
         check = experiments.slot_count_perturbation(x, KeySequence(y_keys, x.universe), h)
         violations += not check.holds
     _print_fields([("pairs", args.trials), ("violations", violations)], args.json)
@@ -242,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_dist_flags(p):
         p.add_argument("--dist", choices=experiments.SPECS["distribution"], default="uniform")
-        p.add_argument("--zipf-exp", type=float, default=1.0)
+        p.add_argument("--zipf-exp", type=float, dest="exponent", metavar="ZIPF_EXP")
         p.add_argument("--alpha", type=float, default=0.1)
 
     def add_hash_flags(p):
         p.add_argument("--hash", choices=experiments.SPECS["hash"], default="identity")
         p.add_argument("--universe", type=int)
-        p.add_argument("--table-seed", type=int, default=0)
-        p.add_argument("--table-file")
+        p.add_argument("--table-seed", type=int, dest="seed", metavar="TABLE_SEED")
+        p.add_argument("--table-file", dest="path", metavar="TABLE_FILE")
 
     p = sub.add_parser("estimate", help="sample keys once and estimate the collision probability")
     add_dist_flags(p)
@@ -257,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--load", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, dest="key_seed", metavar="SEED")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
@@ -302,10 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--alpha2", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--load", type=float, required=True)
+    p.add_argument("--eps", type=float, dest="epsilon", metavar="EPS", required=True)
+    p.add_argument("--load", type=float, dest="L", metavar="LOAD", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_combined_query)
+    combined = (search_time.combined_query_bound, ("c", "alpha", "alpha2", "epsilon", "L"))
+    p.set_defaults(func=lambda args: _print_call(args, combined, "combined-query"))
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment from a config file")
     p.add_argument("--config", required=True)
@@ -323,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, dest="key_seed", metavar="SEED")
     p.add_argument("--universe", type=int)
-    p.add_argument("--table-seed", type=int, default=0)
+    p.add_argument("--table-seed", type=int, dest="seed", metavar="TABLE_SEED")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_perturbation_check)
 

@@ -132,10 +132,9 @@ def _from_spec(spec: Mapping[str, Any], kind: str, tag: str, what: str, **suppli
     required = [key for key in keys if key not in _SPEC_DEFAULTS]
     _check_keys(given, required, keys, f"{what} {name!r}")
     fields = {**_SPEC_DEFAULTS, **given}
-    return fn(*[
-        supplied[key] if key in supplied else _SPEC_READERS.get(key, _config_float)(fields, key)
-        for key in params
-    ])
+    for key in keys:
+        fields[key] = _SPEC_READERS.get(key, _config_float)(fields[key], key)
+    return fn(*[supplied[key] if key in supplied else fields[key] for key in params])
 
 
 def distribution_from_spec(spec: Mapping[str, Any], size: int) -> ProbabilityVector:
@@ -148,9 +147,8 @@ def hash_from_spec(spec: Mapping[str, Any], n: int) -> HashModel:
     return _from_spec(spec, "hash", "mode", "hash", n=n)
 
 
-def _config_int(data: Mapping[str, Any], key: str) -> int:
+def _config_int(value: Any, key: str) -> int:
     """An integer config field; bools and fractional numbers are rejected, not truncated."""
-    value = data[key]
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if type(value) is not int:  # bool is a subclass of int
@@ -158,9 +156,8 @@ def _config_int(data: Mapping[str, Any], key: str) -> int:
     return value
 
 
-def _config_float(data: Mapping[str, Any], key: str) -> float:
+def _config_float(value: Any, key: str) -> float:
     """A real config field: an int or a finite float; None, bools and strings are rejected."""
-    value = data[key]
     if type(value) is int and abs(value) <= sys.float_info.max:  # bool is a subclass of int
         value = float(value)
     if type(value) is not float or not math.isfinite(value):
@@ -168,9 +165,8 @@ def _config_float(data: Mapping[str, Any], key: str) -> float:
     return value
 
 
-def _config_spec(data: Mapping[str, Any], key: str, optional: bool = False) -> dict | None:
+def _config_spec(value: Any, key: str, optional: bool = False) -> dict | None:
     """A nested spec: a JSON object, copied; absent, null or {} is None where ``optional``."""
-    value = data.get(key)
     if optional and value in (None, {}):
         return None
     if not isinstance(value, dict):
@@ -178,17 +174,15 @@ def _config_spec(data: Mapping[str, Any], key: str, optional: bool = False) -> d
     return dict(value)
 
 
-def _config_str(data: Mapping[str, Any], key: str) -> str:
+def _config_str(value: Any, key: str) -> str:
     """A string config field (open() would take an int as a file descriptor)."""
-    value = data[key]
     if type(value) is not str:
         raise ValueError(f"config key {key!r} must be a string, got {value!r}")
     return value
 
 
-def _config_path(data: Mapping[str, Any], key: str) -> str | None:
+def _config_path(value: Any, key: str) -> str | None:
     """An optional output path: a string, or absent or null for none."""
-    value = data.get(key)
     if value is not None and type(value) is not str:  # open() takes an int as a file descriptor
         raise ValueError(f"config key {key!r} must be a string or null, got {value!r}")
     return value
@@ -198,9 +192,9 @@ def _config_path(data: Mapping[str, Any], key: str) -> str | None:
 _SPEC_READERS = dict(universe=_config_int, seed=_config_int, index=_config_int, path=_config_str)
 
 # Each config key, with its ExperimentConfig field and its reader, in the
-# order from_dict reads them and to_dict writes them.  The first eight are required.
+# order the config reads them and to_dict writes them.  The first eight are required.
 _CONFIG_FIELDS = {
-    "kind": ("kind", lambda data, key: data[key]),
+    "kind": ("kind", lambda value, key: value),
     "n": ("n", _config_int),
     "m": ("m", _config_int),
     "trials": ("trials", _config_int),
@@ -208,7 +202,7 @@ _CONFIG_FIELDS = {
     "distribution": ("distribution", _config_spec),
     "hash": ("hash_spec", _config_spec),
     "bound": ("bound", _config_spec),
-    "access_pattern": ("access_pattern", lambda data, key: _config_spec(data, key, optional=True)),
+    "access_pattern": ("access_pattern", lambda v, key: _config_spec(v, key, optional=True)),
     "output": ("output", _config_path),
     "csv": ("csv_path", _config_path),
 }
@@ -216,7 +210,9 @@ _CONFIG_FIELDS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one Monte Carlo run (also the JSON config schema)."""
+    """Full description of one Monte Carlo run (also the JSON config schema).
+
+    However it is built, each field goes through its ``_CONFIG_FIELDS`` reader."""
 
     kind: str  # "collision" or "ast"
     n: int
@@ -231,6 +227,8 @@ class ExperimentConfig:
     csv_path: str | None = None
 
     def __post_init__(self):
+        for key, (field, read) in _CONFIG_FIELDS.items():
+            object.__setattr__(self, field, read(getattr(self, field), key))
         if self.kind not in ("collision", "ast"):
             raise ValueError("kind must be 'collision' or 'ast'")
         if self.trials < 1:
@@ -245,7 +243,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
         _check_keys(data, list(_CONFIG_FIELDS)[:8], _CONFIG_FIELDS, "config")
-        return cls(**{field: read(data, key) for key, (field, read) in _CONFIG_FIELDS.items()})
+        return cls(**{field: data.get(key) for key, (field, _) in _CONFIG_FIELDS.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -121,6 +121,7 @@ class KeySequence:
             arr = arr.astype(np.int64)
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= universe):
             raise ValueError("key index out of range for universe size %d" % universe)
+        arr = arr.view()  # frozen without freezing the caller's array
         arr.flags.writeable = False
         self._keys = arr
         self._universe = int(universe)

@@ -94,6 +94,21 @@ class TestEstimate:
             main(["estimate", "--n", "16", *flags])
         assert drawn.value.args == (MAX_SIZE,)
 
+    @pytest.mark.parametrize(
+        "flags, m",
+        [(["--m", "-5"], "-5"), (["--m", "1"], "1"), (["--m", "0"], "0"),
+         (["--load", "-2"], "-32.0"), (["--load", "0.05"], "0.8")],
+    )
+    def test_key_count_below_two_is_domain_error(self, capsys, no_stream, flags, m):
+        code, out, err = run(capsys, "estimate", "--n", "16", *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flags[0]} gives m = {m}; estimator undefined for m < 2\n"
+
+    def test_absent_spec_flags_take_the_config_defaults(self, capsys):
+        argv = ["estimate", "--n", "8", "--m", "200", "--hash", "random-table",
+                "--universe", "256", "--dist", "zipf"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--zipf-exp", "1.0", "--table-seed", "0")
+
     def test_m_and_load_conflict(self, capsys):
         code, _, err = run(
             capsys, "estimate", "--dist", "uniform", "--n", "16", "--m", "4", "--load", "2"
@@ -516,6 +531,16 @@ class TestPerturbationCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: --m gives m = 16777217") and "2**24" in err
 
+    @pytest.mark.parametrize("m", ["0", "-4"])
+    def test_key_count_below_one_is_domain_error(self, capsys, no_stream, m):
+        argv = ["perturbation-check", "--n", "16", "--m", m, "--trials", "3"]
+        expected = f"error: --m gives m = {m}; perturbation check undefined for m < 1\n"
+        assert run(capsys, *argv) == (1, "", expected)
+
+    def test_one_key_is_enough(self, capsys):
+        argv = ["perturbation-check", "--n", "16", "--m", "1", "--trials", "3"]
+        assert run(capsys, *argv) == (0, "pairs 3\nviolations 0\n", "")
+
     @pytest.mark.parametrize("trials", ["-3", "0"])
     def test_trial_count_below_one_is_domain_error(self, capsys, no_stream, trials):
         argv = ["perturbation-check", "--n", "16", "--m", "10", "--trials", trials]
@@ -548,6 +573,26 @@ class TestPerturbationCommand:
         expected = HashModel.random_table(64, 16, 2).table
         assert len(seen) == 600
         assert all(np.array_equal(h.table, expected) for h in seen)
+
+
+def _dests(command):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest for a in subparsers.choices[command]._actions}
+
+
+_BUILT_BY_ESTIMATE = [
+    (kind, name) for kind in ("hash", "distribution") for name in experiments.SPECS[kind]
+]
+
+
+@pytest.mark.parametrize("kind, name", _BUILT_BY_ESTIMATE)
+def test_every_spec_key_without_a_default_has_an_estimate_flag(kind, name):
+    # `estimate` supplies n and size itself; every other key is a flag or a default.
+    params = experiments.SPECS[kind][name][1]
+    needed = {key for key in params if key not in ("n", "size")} - set(experiments._SPEC_DEFAULTS)
+    assert needed <= _dests("estimate")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -80,11 +81,20 @@ class TestConfig:
         # int() would truncate 64.7 to 64 and read true as 1.
         with pytest.raises(ValueError, match=key):
             collision_config(**{key: value})
+        # The constructor and dataclasses.replace read the fields the same way.
+        fields = {**vars(collision_config()), key: value}
+        with pytest.raises(ValueError, match=f"config key {key!r}"):
+            ExperimentConfig(**fields)
+        with pytest.raises(ValueError, match=f"config key {key!r}"):
+            dataclasses.replace(collision_config(), **{key: value})
 
     def test_integral_floats_accepted_as_integers(self):
         cfg = collision_config(n=64.0, m=640.0, trials=50.0, base_seed=123.0)
         assert cfg == collision_config()
         assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.trials, cfg.base_seed))
+        fields = {**vars(collision_config()), "m": 640.0}
+        for built in (ExperimentConfig(**fields), dataclasses.replace(cfg, m=640.0)):
+            assert built == collision_config() and type(built.m) is int
 
     def test_key_count_capped(self):
         assert collision_config(m=2**24).m == 2**24

@@ -137,6 +137,15 @@ class TestKeySequence:
         x = KeySequence(np.array([1.0, 3.0]), 4)
         assert x.keys.dtype == np.int64 and x.keys.tolist() == [1, 3]
 
+    def test_caller_array_stays_writeable(self):
+        a = np.array([1, 2, 3])
+        x = KeySequence(a, 8)
+        a[0] = 0
+        assert a.flags.writeable and not x.keys.flags.writeable
+        assert np.shares_memory(a, x.keys)  # frozen through a view, not a copy
+        with pytest.raises(ValueError, match="read-only"):
+            x.keys[0] = 1
+
 
 class TestSample:
     def test_point_mass_is_deterministic(self):
