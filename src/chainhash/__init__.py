@@ -14,12 +14,9 @@ from .bounds import (
 from .estimator import (
     CollisionEstimate,
     EstimatorUndefinedError,
-    brute_force_collision_pairs,
     collision_pairs,
     empirical_collision_probability,
-    estimate_from_sequence,
     relative_error,
-    true_collision_probability,
 )
 from .experiments import (
     ExperimentConfig,

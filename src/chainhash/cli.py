@@ -4,8 +4,8 @@ Thin adapters only: every subcommand parses flags, calls the library, and
 prints the result — numeric output at 6 significant digits (scientific
 notation outside [1e-4, 1e7)), or machine-readable JSON with --json.
 
-Exit codes: 0 success, 1 domain error (a precondition rejected the inputs),
-2 usage error.
+Exit codes: 0 success, 1 domain error (a precondition rejected the inputs,
+or a file could not be read or written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

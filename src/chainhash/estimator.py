@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import HashModel, SlotCounts, count_slots, slot_probabilities
-from .probability import KeySequence, ProbabilityVector, norm_sq
+from .hashing import SlotCounts
 
 
 class EstimatorUndefinedError(ValueError):
@@ -57,40 +56,9 @@ def empirical_collision_probability(k: SlotCounts) -> CollisionEstimate:
     return CollisionEstimate(empirical_cp=cp, m=m, collision_pairs=pairs)
 
 
-def brute_force_collision_pairs(x: KeySequence, h: HashModel) -> int:
-    """Oracle pair count via an explicit O(m^2) double loop.
-
-    Counts index pairs j < j' with equal hash values; repeated keys in x
-    collide with themselves.  Exists to cross-check the slot-count route.
-    """
-    slots = [h.slot_of(int(key)) for key in x.keys]
-    m = len(slots)
-    total = 0
-    for j in range(m):
-        sj = slots[j]
-        for jp in range(j + 1, m):
-            if sj == slots[jp]:
-                total += 1
-    return total
-
-
-def true_collision_probability(q: ProbabilityVector, h: HashModel) -> float:
-    """Probability that two independent keys are distinct yet share a slot.
-
-    Equals ||p||^2 - ||q||^2 where p is the induced slot distribution; the
-    tiny negative values that float rounding can produce are clamped to 0.
-    """
-    p = slot_probabilities(q, h)
-    return max(0.0, norm_sq(p) - norm_sq(q))
-
-
 def relative_error(est: CollisionEstimate, p_norm_sq: float) -> float:
     """Unsigned relative error |empirical_cp / p_norm_sq - 1|."""
     if p_norm_sq <= 0.0:
         raise ValueError("p_norm_sq must be positive")
     return abs(est.empirical_cp / p_norm_sq - 1.0)
 
-
-def estimate_from_sequence(x: KeySequence, h: HashModel) -> CollisionEstimate:
-    """Convenience: slot counts then estimate, in one call."""
-    return empirical_collision_probability(count_slots(x, h))

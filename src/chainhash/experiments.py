@@ -33,6 +33,7 @@ from .estimator import empirical_collision_probability, relative_error
 from .hashing import MAX_SIZE, HashModel, count_slots, slot_probabilities
 from .probability import (
     KeySequence,
+    _check_integer,
     ProbabilityVector,
     make_point_mass,
     make_restricted_uniform,
@@ -149,11 +150,7 @@ def hash_from_spec(spec: Mapping[str, Any], n: int) -> HashModel:
 
 def _config_int(value: Any, key: str) -> int:
     """An integer config field; bools and fractional numbers are rejected, not truncated."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:  # bool is a subclass of int
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
+    return _check_integer(value, f"config key {key!r}")
 
 
 def _config_float(value: Any, key: str) -> float:

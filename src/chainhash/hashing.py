@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import rng
-from .probability import KeySequence, ProbabilityVector, check_integral
+from .probability import KeySequence, ProbabilityVector, _check_integer, check_integral
 
 # Guardrail against accidental huge allocations; both U and n must stay under it.
 MAX_SIZE = 2**24
@@ -28,7 +28,7 @@ _BINCOUNT_UNIVERSE_PER_KEY = 8
 
 
 def _check_size(value: int, what: str) -> int:
-    value = int(value)
+    value = _check_integer(value, what)
     if value < 1:
         raise ValueError(f"{what} must be positive")
     if value > MAX_SIZE:
@@ -39,11 +39,10 @@ def _check_size(value: int, what: str) -> int:
 class HashModel:
     """Immutable map from keys {0..universe-1} to slots {0..slots-1}."""
 
-    __slots__ = ("_mode", "_table", "_universe", "_slots")
+    __slots__ = ("_table", "_universe", "_slots")
 
-    def __init__(self, mode: str, table: np.ndarray | None, universe: int, slots: int):
+    def __init__(self, table: np.ndarray | None, universe: int, slots: int):
         # Use the classmethod constructors below rather than calling this directly.
-        self._mode = mode
         self._table = table
         self._universe = universe
         self._slots = slots
@@ -52,7 +51,7 @@ class HashModel:
     def identity(cls, n: int) -> "HashModel":
         """Identity hash on a universe of exactly n keys (h(x) = x)."""
         n = _check_size(n, "slot count")
-        return cls("identity", None, n, n)
+        return cls(None, n, n)
 
     @classmethod
     def from_table(cls, table, n: int) -> "HashModel":
@@ -67,7 +66,7 @@ class HashModel:
             raise ValueError("table entries must lie in [0, n)")
         arr = raw.astype(np.int64)
         arr.flags.writeable = False
-        return cls("fixed-table", arr, arr.size, n)
+        return cls(arr, arr.size, n)
 
     @classmethod
     def random_table(cls, universe: int, n: int, seed: int) -> "HashModel":
@@ -87,7 +86,7 @@ class HashModel:
             chunk = rng.stream_uint64(seed, stop - start, start)
             np.remainder(chunk, np.uint64(n), out=words[start:stop])
         table.flags.writeable = False
-        return cls("fixed-table", table, universe, n)
+        return cls(table, universe, n)
 
     @classmethod
     def from_file(cls, path, n: int) -> "HashModel":
@@ -113,10 +112,6 @@ class HashModel:
         return cls.from_table(entries, n)
 
     @property
-    def mode(self) -> str:
-        return self._mode
-
-    @property
     def universe(self) -> int:
         return self._universe
 
@@ -128,14 +123,6 @@ class HashModel:
     def table(self) -> np.ndarray | None:
         return self._table
 
-    def slot_of(self, key: int) -> int:
-        """Slot of a single key."""
-        if not 0 <= key < self._universe:
-            raise ValueError("key out of range")
-        if self._table is None:
-            return int(key)
-        return int(self._table[key])
-
     def slots_of(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized slot lookup for an int64 key array (bounds unchecked)."""
         if self._table is None:
@@ -143,7 +130,8 @@ class HashModel:
         return self._table[keys]
 
     def __repr__(self) -> str:
-        return f"HashModel(mode={self._mode!r}, universe={self._universe}, slots={self._slots})"
+        mode = "identity" if self._table is None else "fixed-table"
+        return f"HashModel(mode={mode!r}, universe={self._universe}, slots={self._slots})"
 
 
 class SlotCounts:

@@ -8,7 +8,7 @@ smallest index i with u * cdf[-1] < cdf[i] (the last index if there is
 none), where ``cdf`` is the float64 ``cumsum`` of the weights.  Sequences
 are therefore reproducible bit-for-bit from (vector, seed, count).  The
 search for that index goes through a guide table (Chen & Asau 1974), which
-finds exactly the index the rule names; see :func:`inverse_cdf`.  The
+finds exactly the index the rule names; see :func:`sample_from_cdf`.  The
 sampler finds each draw's guide bucket from the top bits of its stream word
 and forms the double u only where that bucket holds a cdf step.  It also
 takes a block of seeds and draws one row per seed in a single call; each
@@ -58,6 +58,8 @@ class ProbabilityVector:
         if np.any(arr < 0.0):
             raise ValueError("weights must be nonnegative")
         total = float(arr.sum())
+        if not math.isfinite(total):
+            raise ValueError("weights must have a finite sum")
         if total <= 0.0:
             raise ValueError("weights must have a positive sum")
         arr = arr / total
@@ -95,6 +97,15 @@ class ProbabilityVector:
         return f"ProbabilityVector(size={len(self)})"
 
 
+def _check_integer(value, what: str) -> int:
+    """A scalar integer, as an int; bools and fractional or non-numeric values are rejected."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_integral(arr: np.ndarray, what: str) -> None:
     """Reject a fractional, non-finite or non-numeric entry (O(1) on integer arrays)."""
     if arr.dtype.kind == "f":
@@ -111,6 +122,7 @@ class KeySequence:
     __slots__ = ("_keys", "_universe")
 
     def __init__(self, keys: Sequence[int] | np.ndarray, universe: int):
+        universe = _check_integer(universe, "universe size")
         if universe < 1:
             raise ValueError("universe size must be positive")
         arr = np.asarray(keys)
@@ -124,7 +136,7 @@ class KeySequence:
         arr = arr.view()  # frozen without freezing the caller's array
         arr.flags.writeable = False
         self._keys = arr
-        self._universe = int(universe)
+        self._universe = universe
 
     @property
     def keys(self) -> np.ndarray:
@@ -210,24 +222,39 @@ def sample_from_cdf(
 ) -> np.ndarray:
     """Low-level inverse-CDF sampler over a precomputed cumulative array.
 
-    Draws :func:`inverse_cdf` of the first ``count`` doubles of the stream
-    for ``seed``.  Given a 1-d sequence of seeds it returns a
-    ``(len(seeds), count)`` block whose row r holds exactly the draws of
-    ``seeds[r]`` alone: the stream rows are unchanged and the search is
-    elementwise.  Pass ``guide_table(cdf)`` (or :attr:`ProbabilityVector.guide`)
-    when sampling the same cdf repeatedly; without it each call builds one.
-    The search takes each bucket from the top bits of the stream word and
-    forms the double only where the bucket holds a cdf step (see
-    :func:`inverse_cdf`).
+    For each of the first ``count`` doubles u of the stream for ``seed``,
+    draws ``min(searchsorted(cdf, u * cdf[-1], "right"), U - 1)``: the
+    smallest i with u * cdf[-1] < cdf[i], else the last i.  Given a 1-d
+    sequence of seeds it returns a ``(len(seeds), count)`` block whose row r
+    holds exactly the draws of ``seeds[r]`` alone: the stream rows are
+    unchanged and the search is elementwise.  Pass ``guide_table(cdf)`` (or
+    :attr:`ProbabilityVector.guide`) when sampling the same cdf repeatedly;
+    without it each call builds one.  With K = len(guide) - 1 = 2**k
+    buckets, the search finds that same index:
+
+    * u lies in bucket j = floor(u * K), so j/K <= u < (j+1)/K.  For the
+      double of a stream word w, u = (w >> 11) * 2**-53, and with k <= 20,
+      j is the top k bits of w: floor((w >> 11) * 2**(k-53)) = w >> (64 - k).
+      So j is taken from w, and u is formed only where guide[j] < guide[j+1].
+    * Rounded multiplication by cdf[-1] >= 0 and the clamped search are
+      both monotone, so guide[j] <= draw(u) <= guide[j+1].
+    * Where guide[j] == guide[j+1] that is the draw.  Elsewhere, with
+      t = u * cdf[-1], the draw is the first i in [guide[j], guide[j+1])
+      with t < cdf[i], or guide[j+1] if there is none.  One forward step
+      settles every draw whose answer is guide[j] (such as a window that
+      runs into a zero-weight tail).  For the others cdf[guide[j]] <= t,
+      and steps of halving powers of two move that index to the last one
+      below guide[j+1] with cdf <= t; the draw is the index after it.
+
+    The halving steps keep the cost logarithmic in the window where
+    buckets span many cdf entries (U above the 2**20 bucket cap); a plain
+    forward scan is linear there, and on 6400 draws from a 2**24-entry
+    Zipf cdf it was slower than the binary search it replaces.
     """
     if guide is None:
         guide = guide_table(cdf)
     words = rng.stream_uint64(seed, count)
-    flat = words.ravel()
-    k = (guide.size - 1).bit_length() - 1  # K = 2**k buckets
-    bucket = np.right_shift(flat, np.uint64(64 - k)).view(np.int64)
-    draws = _guided_search(cdf, guide, bucket, lambda at: rng.unit_doubles(flat.take(at)))
-    return draws.reshape(words.shape)
+    return _guided_search(cdf, guide, words.ravel()).reshape(words.shape)
 
 
 def guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -258,59 +285,21 @@ def guide_table(cdf: np.ndarray) -> np.ndarray:
     return guide
 
 
-def inverse_cdf(cdf: np.ndarray, u: np.ndarray, guide: np.ndarray | None = None) -> np.ndarray:
-    """For each u in [0, 1), the smallest i with u * cdf[-1] < cdf[i] (else the last i).
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The draws of a flat array of stream words, as :func:`sample_from_cdf` sets out.
 
-    The result has the shape of ``u``, and each entry depends on its own u
-    only.  This is ``min(searchsorted(cdf, u * cdf[-1], "right"), U - 1)``, found
-    through ``guide = guide_table(cdf)`` (built here if not given) with
-    K = len(guide) - 1 buckets.  Why the result is the same index:
-
-    * u lies in bucket j = floor(u * K), computed exactly because K is a
-      power of two, so j/K <= u < (j+1)/K.  For the double of a stream
-      word w, u = (w >> 11) * 2**-53, and K = 2**k with k <= 20, j is the
-      top k bits of w: floor((w >> 11) * 2**(k-53)) = w >> (64 - k).  So
-      :func:`sample_from_cdf` takes j from w and forms u only where
-      guide[j] < guide[j+1]; it gives the draws of this function on the
-      doubles of the stream.
-    * Rounded multiplication by cdf[-1] >= 0 and the clamped search are
-      both monotone, so guide[j] <= draw(u) <= guide[j+1].
-    * Where guide[j] == guide[j+1] that is the draw.  Elsewhere, with
-      t = u * cdf[-1], the draw is the first i in [guide[j], guide[j+1])
-      with t < cdf[i], or guide[j+1] if there is none.  One forward step
-      settles every draw whose answer is guide[j] (such as a window that
-      runs into a zero-weight tail).  For the others cdf[guide[j]] <= t,
-      and steps of halving powers of two move that index to the last one
-      below guide[j+1] with cdf <= t; the draw is the index after it.
-
-    The halving steps keep the cost logarithmic in the window where
-    buckets span many cdf entries (U above the 2**20 bucket cap); a plain
-    forward scan is linear there, and on 6400 draws from a 2**24-entry
-    Zipf cdf it was slower than the binary search it replaces.
+    Only the words whose bucket holds a cdf step are turned into doubles;
+    they are gathered by index, and their results scattered back with ``put``.
     """
-    if guide is None:
-        guide = guide_table(cdf)
-    shape = np.shape(u)
-    u = np.ravel(u)
-    bucket = (u * (guide.size - 1)).astype(np.intp)
-    return _guided_search(cdf, guide, bucket, u.take).reshape(shape)
-
-
-def _guided_search(cdf: np.ndarray, guide: np.ndarray, bucket: np.ndarray, uniforms) -> np.ndarray:
-    """The draws of a flat array of buckets, as :func:`inverse_cdf` sets out.
-
-    ``uniforms(at)`` returns the doubles u at the flat positions ``at``; it
-    is called once, for the draws whose bucket holds a cdf step, and not at
-    all when no draw lands in such a bucket.  The draws that take a step
-    are gathered by index, and their results are scattered back with ``put``.
-    """
+    k = (guide.size - 1).bit_length() - 1  # K = 2**k buckets
+    bucket = np.right_shift(words, np.uint64(64 - k)).view(np.int64)
     idx = guide.take(bucket).astype(np.int64)
     end = guide[1:].take(bucket)
     wide = np.flatnonzero(idx < end)
     if not wide.size:
         return idx
     last = idx.take(wide)
-    t = uniforms(wide) * cdf[-1]
+    t = rng.unit_doubles(words.take(wide)) * cdf[-1]
     ahead = np.flatnonzero(cdf.take(last) <= t)
     if ahead.size:
         wide, last, t = wide.take(ahead), last.take(ahead), t.take(ahead)

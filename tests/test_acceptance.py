@@ -25,7 +25,6 @@ from chainhash import (
     HashModel,
     KeySequence,
     average_search_time,
-    brute_force_collision_pairs,
     collision_pairs,
     count_slots,
     gaussian_tail_bound,
@@ -42,6 +41,7 @@ from chainhash import (
     slot_count_perturbation,
     unbiasedness_check,
 )
+from oracle import brute_force_collision_pairs
 
 COVERAGE_TRIALS = 10**4
 

@@ -510,6 +510,27 @@ class TestExperimentCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(key) in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--config", "{tmp}/missing.json"],
+            ["experiment", "--config", "{tmp}/cfg.json", "--out", "{tmp}/no/such/dir/x.json"],
+            ["experiment", "--config", "{tmp}/cfg.json", "--csv", "{tmp}/no/such/dir/x.csv"],
+            ["estimate", "--n", "4", "--m", "10", "--hash", "table-file",
+             "--table-file", "{tmp}/missing.txt"],
+        ],
+    )
+    def test_file_error_is_domain_error(self, tmp_path, capsys, argv):
+        cfg = {
+            "kind": "collision", "n": 16, "m": 640, "trials": 3, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+        assert code == 1
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert "Traceback" not in err
 
     def test_key_count_above_the_cap_is_domain_error(self, tmp_path, capsys, no_stream):
         cfg = {

@@ -5,21 +5,13 @@ from numpy.testing import assert_allclose
 from chainhash.estimator import (
     CollisionEstimate,
     EstimatorUndefinedError,
-    brute_force_collision_pairs,
     collision_pairs,
     empirical_collision_probability,
-    estimate_from_sequence,
     relative_error,
-    true_collision_probability,
 )
 from chainhash.hashing import HashModel, SlotCounts, count_slots
-from chainhash.probability import (
-    KeySequence,
-    ProbabilityVector,
-    make_uniform,
-    make_zipf,
-    sample,
-)
+from chainhash.probability import KeySequence, make_uniform, make_zipf, sample
+from oracle import brute_force_collision_pairs
 
 
 class TestCollisionPairs:
@@ -92,32 +84,6 @@ class TestBruteForceOracle:
             assert brute_force_collision_pairs(x, h) == collision_pairs(count_slots(x, h))
 
 
-class TestTrueCollisionProbability:
-    def test_injective_hash_has_none(self):
-        q = make_zipf(8, 1.0)
-        assert true_collision_probability(q, HashModel.identity(8)) == 0.0
-
-    def test_total_merge(self):
-        h = HashModel.from_table([0, 0, 0, 0], 1)
-        assert_allclose(true_collision_probability(make_uniform(4), h), 0.75, rtol=1e-12)
-
-    def test_pairwise_merge(self):
-        h = HashModel.from_table([0, 0, 1, 1], 2)
-        assert_allclose(true_collision_probability(make_uniform(4), h), 0.25, rtol=1e-12)
-
-    def test_nonnegative_on_random_instances(self):
-        gen = np.random.default_rng(5)
-        for _ in range(50):
-            u, n = int(gen.integers(2, 64)), int(gen.integers(1, 16))
-            h = HashModel.random_table(u, n, int(gen.integers(0, 2**32)))
-            q = ProbabilityVector(gen.random(u))
-            assert true_collision_probability(q, h) >= 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            true_collision_probability(make_uniform(4), HashModel.identity(8))
-
-
 class TestRelativeError:
     def test_examples(self):
         est = empirical_collision_probability(SlotCounts([2, 2, 1]))  # cp = 0.2
@@ -140,6 +106,6 @@ def test_permutation_invariance():
     x = sample(make_uniform(32), 8, 200)
     shuffled = KeySequence(gen.permutation(x.keys), 32)
     assert (
-        estimate_from_sequence(x, h).empirical_cp
-        == estimate_from_sequence(shuffled, h).empirical_cp
+        empirical_collision_probability(count_slots(x, h)).empirical_cp
+        == empirical_collision_probability(count_slots(shuffled, h)).empirical_cp
     )

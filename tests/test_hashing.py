@@ -17,14 +17,15 @@ from chainhash.probability import KeySequence, ProbabilityVector, make_uniform, 
 class TestHashModel:
     def test_identity_basics(self):
         h = HashModel.identity(8)
-        assert h.mode == "identity" and h.universe == 8 and h.slots == 8
-        assert h.slot_of(3) == 3
+        assert repr(h) == "HashModel(mode='identity', universe=8, slots=8)"
+        assert h.table is None and h.universe == 8 and h.slots == 8
         assert np.array_equal(h.slots_of(np.array([0, 7, 7])), [0, 7, 7])
 
     def test_from_table(self):
         h = HashModel.from_table([0, 0, 1, 1], 2)
-        assert h.mode == "fixed-table" and h.universe == 4 and h.slots == 2
-        assert h.slot_of(2) == 1
+        assert repr(h) == "HashModel(mode='fixed-table', universe=4, slots=2)"
+        assert h.universe == 4 and h.slots == 2
+        assert np.array_equal(h.slots_of(np.array([2, 0])), [1, 0])
 
     def test_table_entries_validated(self):
         with pytest.raises(ValueError):
@@ -55,6 +56,21 @@ class TestHashModel:
         with pytest.raises(ValueError):
             HashModel.random_table(MAX_SIZE + 1, 4, 0)
 
+    @pytest.mark.parametrize("size", [4.5, 0.5, True, np.bool_(True), np.float64(2.25), "4"])
+    def test_non_integer_sizes_rejected(self, size):
+        # int() would truncate 4.5 to 4 slots and read True as 1.
+        with pytest.raises(ValueError, match="slot count must be an integer"):
+            HashModel.identity(size)
+        with pytest.raises(ValueError, match="universe size must be an integer"):
+            HashModel.random_table(size, 4, 0)
+        with pytest.raises(ValueError, match="slot count must be an integer"):
+            HashModel.from_table([0, 1], size)
+
+    @pytest.mark.parametrize("size", [4, 4.0, np.int64(4), np.uint16(4)])
+    def test_integer_sizes_accepted(self, size):
+        assert HashModel.identity(size).slots == 4
+        assert HashModel.random_table(size, size, 0).universe == 4
+
     def test_random_table_follows_documented_rule(self):
         h = HashModel.random_table(100, 7, seed=42)
         expected = (rng.stream_uint64(42, 100) % np.uint64(7)).astype(np.int64)
@@ -73,11 +89,6 @@ class TestHashModel:
         expected = (rng.stream_uint64(2**64 - 3, universe) % np.uint64(n)).astype(np.int64)
         assert h.table.dtype == np.int64 and not h.table.flags.writeable
         assert np.array_equal(h.table, expected)
-
-    def test_slot_of_range_checked(self):
-        h = HashModel.identity(4)
-        with pytest.raises(ValueError):
-            h.slot_of(4)
 
 
 class TestTableFile:

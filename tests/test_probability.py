@@ -83,6 +83,17 @@ class TestConstructors:
             with pytest.raises(ValueError):
                 ProbabilityVector(bad)
 
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [1.7e308] * 3, [1e308] * 100])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_rejected(self, weights):
+        # The sum overflows to inf, which would store all-zero weights.
+        with pytest.raises(ValueError, match="weights must have a finite sum"):
+            ProbabilityVector(weights)
+
+    def test_largest_finite_sum_kept(self):
+        pv = ProbabilityVector([8e307, 8e307])
+        assert pv.weights.tolist() == [0.5, 0.5] and norm_sq(pv) == 0.5
+
     def test_sum_invariant_on_random_vectors(self):
         gen = np.random.default_rng(42)
         for _ in range(50):
@@ -132,6 +143,16 @@ class TestKeySequence:
         # asarray(dtype=int64) would truncate 1.7 to 1 and 2.9 to 2.
         with pytest.raises(ValueError, match="keys must be integers"):
             KeySequence(keys, 4)
+
+    @pytest.mark.parametrize("universe", [4.7, 4.5, True, np.bool_(True), "4", None])
+    def test_non_integer_universe_rejected(self, universe):
+        with pytest.raises(ValueError, match="universe size must be an integer"):
+            KeySequence([0], universe)
+
+    @pytest.mark.parametrize("universe", [4, 4.0, np.int32(4), np.uint64(4)])
+    def test_integer_universe_accepted(self, universe):
+        x = KeySequence([1, 2, 3], universe)
+        assert x.universe == 4 and type(x.universe) is int
 
     def test_integral_float_keys_accepted(self):
         x = KeySequence(np.array([1.0, 3.0]), 4)

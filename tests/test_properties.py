@@ -12,11 +12,12 @@ the identities hold beyond the hand-picked points of the other tests:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainhash.estimator import brute_force_collision_pairs, collision_pairs
+from chainhash.estimator import collision_pairs
 from chainhash.experiments import slot_count_perturbation
 from chainhash.hashing import HashModel, count_slots, slot_probabilities
 from chainhash.probability import KeySequence, ProbabilityVector, norm_sq
 from chainhash.search_time import average_search_time, search_time_upper
+from oracle import brute_force_collision_pairs
 
 # Rounding in the normalisation and the dot product, relative to 1/n.
 NORM_TOL = 1e-12

@@ -3,8 +3,8 @@
 The reference below is the sampler's previous implementation, the draw rule
 written as one ``searchsorted`` call.  Every test requires the guide-table
 search to return exactly its indices.  ``sample_from_cdf`` takes each
-bucket from the top bits of a stream word rather than from its double; the
-word tests feed it chosen words and compare with the reference on the
+bucket from the top bits of a stream word rather than from its double, so
+the tests feed it chosen words and compare with the reference on the
 doubles of those words.
 """
 
@@ -19,7 +19,6 @@ from chainhash import rng
 from chainhash.probability import (
     ProbabilityVector,
     guide_table,
-    inverse_cdf,
     make_point_mass,
     make_restricted_uniform,
     make_uniform,
@@ -62,6 +61,18 @@ def hard_words(cdf, guide, buckets=None):
     low = np.array([0, 0x7FF], dtype=np.uint64)
     steps = (top[:, None] | low).ravel()
     return np.concatenate([edges, steps])
+
+
+def words_of(u):
+    """The words whose double is u, with the 11 dropped bits all clear and all set.
+
+    Only a multiple of 2**-53 in [0, 1) is the double of a stream word; any
+    other u is dropped.
+    """
+    top = np.asarray(u, dtype=np.float64) * 2.0**53  # exact: a power-of-two scaling
+    top = top[(top == np.floor(top)) & (top >= 0.0) & (top < 2.0**53)]
+    low = np.array([0, 0x7FF], dtype=np.uint64)
+    return ((top.astype(np.uint64) << np.uint64(11))[:, None] | low).ravel()
 
 
 def hard_uniforms(cdf, guide):
@@ -124,14 +135,14 @@ class TestNamedDistributions:
         assert np.array_equal(sample_from_cdf(cdf, 5, 500), expected)
 
     def test_bucket_edges_match(self, named):
-        for u in parts(hard_uniforms(named.cdf, named.guide)):
-            assert np.array_equal(inverse_cdf(named.cdf, u, named.guide), reference(named.cdf, u))
+        for words in parts(words_of(hard_uniforms(named.cdf, named.guide))):
+            expected = reference(named.cdf, doubles_of(words))
+            assert np.array_equal(word_draws(named.cdf, named.guide, words), expected)
 
     def test_word_route_matches(self, named):
         for words in parts(hard_words(named.cdf, named.guide)):
             expected = reference(named.cdf, doubles_of(words))
             assert np.array_equal(word_draws(named.cdf, named.guide, words), expected)
-            assert np.array_equal(inverse_cdf(named.cdf, doubles_of(words), named.guide), expected)
 
     def test_result_type_and_zero_weights(self, named):
         keys = sample(named, 3, 4000).keys
@@ -152,11 +163,12 @@ def test_cdf_totals_other_than_one():
     ]
     for cdf in cdfs:
         guide = guide_table(cdf)
-        u = np.concatenate([hard_uniforms(cdf, guide), rng.stream_doubles(17, 5000)])
-        assert np.array_equal(inverse_cdf(cdf, u, guide), reference(cdf, u))
-        assert np.array_equal(inverse_cdf(cdf, u), reference(cdf, u))
-        words = np.concatenate([hard_words(cdf, guide), rng.stream_uint64(17, 5000)])
-        assert np.array_equal(word_draws(cdf, guide, words), reference(cdf, doubles_of(words)))
+        words = np.concatenate(
+            [words_of(hard_uniforms(cdf, guide)), hard_words(cdf, guide), rng.stream_uint64(17, 5000)]
+        )
+        expected = reference(cdf, doubles_of(words))
+        assert np.array_equal(word_draws(cdf, guide, words), expected)
+        assert np.array_equal(word_draws(cdf, None, words), expected)
 
 
 @pytest.mark.parametrize(
@@ -188,8 +200,10 @@ def test_property_matches_reference(weights, extra, seed):
     pv = ProbabilityVector(weights)
     for cdf in (pv.cdf, np.cumsum(weights)):
         guide = guide_table(cdf)
-        u = np.concatenate([hard_uniforms(cdf, guide), extra, rng.stream_doubles(seed, 200)])
-        assert np.array_equal(inverse_cdf(cdf, u, guide), reference(cdf, u))
+        words = np.concatenate(
+            [words_of(np.concatenate([hard_uniforms(cdf, guide), extra])), rng.stream_uint64(seed, 200)]
+        )
+        assert np.array_equal(word_draws(cdf, guide, words), reference(cdf, doubles_of(words)))
     assert np.all(pv.weights[sample_from_cdf(pv.cdf, seed, 200, pv.guide)] > 0.0)
 
 
