@@ -11,8 +11,10 @@ that never depend on the cap.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -490,7 +492,11 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch on config kind and honor its output/csv paths."""
+    """Dispatch on config kind and honor its output/csv paths; a path whose
+    directory is missing fails before the first trial and opens no file."""
+    for path in (cfg.output, cfg.csv_path):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if cfg.kind == "collision":
         report = run_collision_trials(cfg)
     else:

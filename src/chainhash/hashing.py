@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import rng
-from .probability import KeySequence, ProbabilityVector, _check_integer, check_integral
+from .probability import KeySequence, ProbabilityVector, _check_integer, _read_only, check_integral
 
 # Guardrail against accidental huge allocations; both U and n must stay under it.
 MAX_SIZE = 2**24
@@ -39,11 +39,13 @@ def _check_size(value: int, what: str) -> int:
 class HashModel:
     """Immutable map from keys {0..universe-1} to slots {0..slots-1}."""
 
-    __slots__ = ("_table", "_universe", "_slots")
+    __slots__ = ("_owner", "_table", "_universe", "_slots")
 
     def __init__(self, table: np.ndarray | None, universe: int, slots: int):
         # Use the classmethod constructors below rather than calling this directly.
-        self._table = table
+        # They pass a table of their own: np.bincount reads it (see ProbabilityVector).
+        self._owner = table
+        self._table = None if table is None else _read_only(table)
         self._universe = universe
         self._slots = slots
 
@@ -64,9 +66,7 @@ class HashModel:
         check_integral(raw, "table entries")
         if raw.min() < 0 or raw.max() >= n:
             raise ValueError("table entries must lie in [0, n)")
-        arr = raw.astype(np.int64)
-        arr.flags.writeable = False
-        return cls(arr, arr.size, n)
+        return cls(raw.astype(np.int64), raw.size, n)
 
     @classmethod
     def random_table(cls, universe: int, n: int, seed: int) -> "HashModel":
@@ -76,6 +76,8 @@ class HashModel:
         ``stream_uint64(seed, universe) % n`` (modulo bias is below 2**-39
         for the permitted n <= 2**24), taken ``rng._CHUNK`` words at a time
         into the int64 table's uint64 view: no full-length temporary is made.
+        A remainder is taken as w - (w // n) * n: numpy divides by a scalar in
+        SIMD, but ``np.remainder`` takes one hardware divide per uint64 word.
         """
         universe = _check_size(universe, "universe size")
         n = _check_size(n, "slot count")
@@ -84,8 +86,9 @@ class HashModel:
         for start in range(0, universe, rng._CHUNK):
             stop = min(start + rng._CHUNK, universe)
             chunk = rng.stream_uint64(seed, stop - start, start)
-            np.remainder(chunk, np.uint64(n), out=words[start:stop])
-        table.flags.writeable = False
+            quotient = np.floor_divide(chunk, np.uint64(n))
+            quotient *= np.uint64(n)
+            np.subtract(chunk, quotient, out=words[start:stop])
         return cls(table, universe, n)
 
     @classmethod
@@ -182,7 +185,7 @@ def slot_probabilities(q: ProbabilityVector, h: HashModel) -> ProbabilityVector:
         raise ValueError("distribution size must equal the hash universe size")
     if h.table is None:
         return ProbabilityVector(q.weights)
-    merged = np.bincount(h.table, weights=q.weights, minlength=h.slots)
+    merged = np.bincount(h._owner, weights=q._owner, minlength=h.slots)
     return ProbabilityVector(merged)
 
 

@@ -18,6 +18,7 @@ row holds exactly the draws its seed gives on its own.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -47,24 +48,29 @@ class ProbabilityVector:
     renormalized afterward.  Instances are immutable.
     """
 
-    __slots__ = ("_weights", "_cdf", "_guide")
+    __slots__ = ("_owner", "_weights", "_cdf", "_guide")
 
     def __init__(self, weights: Sequence[float] | np.ndarray):
         arr = np.asarray(weights, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = float(arr.min()), float(arr.max())  # a NaN reaches both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weights must be finite")
-        if np.any(arr < 0.0):
+        if lo < 0.0:
             raise ValueError("weights must be nonnegative")
-        total = float(arr.sum())
+        if hi > sys.float_info.max / (2 * arr.size):  # only then can the sum overflow
+            with np.errstate(over="ignore"):
+                total = float(arr.sum())
+        else:
+            total = float(arr.sum())
         if not math.isfinite(total):
             raise ValueError("weights must have a finite sum")
         if total <= 0.0:
             raise ValueError("weights must have a positive sum")
-        arr = arr / total
-        arr.flags.writeable = False
-        self._weights = arr
+        # np.bincount copies read-only input, so it reads this owner; nothing writes it.
+        self._owner = arr / total
+        self._weights = _read_only(self._owner)
         self._cdf: np.ndarray | None = None
         self._guide: np.ndarray | None = None
 
@@ -95,6 +101,13 @@ class ProbabilityVector:
 
     def __repr__(self) -> str:
         return f"ProbabilityVector(size={len(self)})"
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself stays writeable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_integer(value, what: str) -> int:
@@ -133,9 +146,7 @@ class KeySequence:
             arr = arr.astype(np.int64)
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= universe):
             raise ValueError("key index out of range for universe size %d" % universe)
-        arr = arr.view()  # frozen without freezing the caller's array
-        arr.flags.writeable = False
-        self._keys = arr
+        self._keys = _read_only(arr)  # frozen without freezing the caller's array
         self._universe = universe
 
     @property
@@ -167,7 +178,7 @@ def make_zipf(size: int, exponent: float) -> ProbabilityVector:
     if exponent < 0.0:
         raise ValueError("exponent must be nonnegative")
     ranks = np.arange(1, size + 1, dtype=np.float64)
-    return ProbabilityVector(ranks**-exponent)
+    return ProbabilityVector(np.power(ranks, -exponent, out=ranks))
 
 
 def make_restricted_uniform(size: int, alpha: float) -> ProbabilityVector:

@@ -520,7 +520,8 @@ class TestExperimentCommand:
              "--table-file", "{tmp}/missing.txt"],
         ],
     )
-    def test_file_error_is_domain_error(self, tmp_path, capsys, argv):
+    def test_file_error_is_domain_error(self, tmp_path, capsys, no_stream, argv):
+        # Each of these fails before the first draw: the fixture makes any draw raise.
         cfg = {
             "kind": "collision", "n": 16, "m": 640, "trials": 3, "base_seed": 1,
             "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
@@ -531,6 +532,26 @@ class TestExperimentCommand:
         assert code == 1
         assert err.startswith("error: ") and "No such file or directory" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, key", [("--csv", "output"), ("--out", "csv")])
+    def test_missing_output_directory_leaves_the_other_file_untouched(
+        self, tmp_path, capsys, no_stream, flag, key
+    ):
+        kept = tmp_path / "kept.txt"
+        kept.write_text("kept")
+        cfg = {
+            "kind": "collision", "n": 16, "m": 640, "trials": 3, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3}, key: str(kept),
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        missing = tmp_path / "no" / "x.out"
+        code, out, err = run(
+            capsys, "experiment", "--config", str(tmp_path / "cfg.json"), flag, str(missing)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert kept.read_text() == "kept" and not missing.parent.exists()
 
     def test_key_count_above_the_cap_is_domain_error(self, tmp_path, capsys, no_stream):
         cfg = {

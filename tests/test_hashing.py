@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -90,6 +92,18 @@ class TestHashModel:
         assert h.table.dtype == np.int64 and not h.table.flags.writeable
         assert np.array_equal(h.table, expected)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda t: HashModel.random_table(1000, 7, 3), lambda t: HashModel.from_table(t, 4),
+         lambda t: HashModel.from_table(t.tolist(), 4)],
+    )
+    def test_table_is_read_only_and_owned(self, build):
+        caller = np.array([0, 3, 1], dtype=np.int64)
+        h = build(caller)
+        with pytest.raises(ValueError, match="read-only"):
+            h.table[0] = 1
+        assert caller.flags.writeable and not np.shares_memory(h.table, caller)
+
 
 class TestTableFile:
     def test_round_trip(self, tmp_path):
@@ -161,6 +175,20 @@ class TestSlotProbabilities:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             slot_probabilities(make_uniform(5), HashModel.identity(8))
+
+    def test_reads_the_table_and_weights_without_copies(self):
+        # np.bincount copies a read-only argument: 16 MiB for these two.
+        h = HashModel.random_table(2**20, 64, 5)
+        q = make_zipf(2**20, 1.0)
+        tracemalloc.start()
+        try:
+            p = slot_probabilities(q, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(p.weights, ProbabilityVector(np.bincount(
+            h.table, weights=q.weights, minlength=64)).weights)
 
     def test_sums_to_one_on_random_tables(self):
         gen = np.random.default_rng(3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,8 +84,17 @@ class TestConstructors:
             with pytest.raises(ValueError):
                 ProbabilityVector(bad)
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([math.nan, -1.0], "must be finite"), ([-math.inf, 1.0], "must be finite"),
+         ([1.0, math.inf], "must be finite"), ([1.0, math.nan], "must be finite"),
+         ([-1.0, 2.0], "must be nonnegative"), ([0.0, 0.0, 0.0], "must have a positive sum")],
+    )
+    def test_first_failed_check_names_the_error(self, weights, message):
+        with pytest.raises(ValueError, match=f"^weights {message}$"):
+            ProbabilityVector(weights)
+
     @pytest.mark.parametrize("weights", [[1e308, 1e308], [1.7e308] * 3, [1e308] * 100])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sum_rejected(self, weights):
         # The sum overflows to inf, which would store all-zero weights.
         with pytest.raises(ValueError, match="weights must have a finite sum"):
@@ -105,6 +115,26 @@ class TestConstructors:
         pv = make_uniform(4)
         with pytest.raises(ValueError):
             pv.weights[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: ProbabilityVector([1.0, 3.0]), lambda: make_uniform(3), lambda: make_zipf(5, 1.0),
+         lambda: make_restricted_uniform(10, 0.5), lambda: make_point_mass(4, 1)],
+    )
+    def test_every_builder_gives_read_only_weights(self, build):
+        with pytest.raises(ValueError, match="read-only"):
+            build().weights[0] = 0.5
+
+    def test_zipf_peak_holds_two_full_size_arrays(self):
+        # The ranks are raised to the power in place: one 8 MiB array for the
+        # ranks and one for the normalized weights, no third.
+        tracemalloc.start()
+        try:
+            make_zipf(2**20, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.5 * 2**20
 
 
 class TestNormSq:
