@@ -23,12 +23,10 @@ from .experiments import (
     ExperimentReport,
     PerturbationCheck,
     TrialRecord,
-    UnbiasednessResult,
     run_ast_trials,
     run_collision_trials,
     run_experiment,
     slot_count_perturbation,
-    unbiasedness_check,
 )
 from .hashing import (
     HashModel,

@@ -74,6 +74,15 @@ def _finish(error_bound: float, tail: float) -> DeviationBound:
     )
 
 
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent, or +inf above the double range (Python raises there),
+    so that a tail built from it is 0 and reads as underflow."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
@@ -88,7 +97,7 @@ def polynomial_tail_bound(n: int, beta: float, lam: float) -> DeviationBound:
     _require(n >= 2, "n must be at least 2")
     _require(beta > 0.0, "beta must be positive")
     _require(lam >= 0.0, "lambda must be nonnegative")
-    return _finish(3.0 * n ** (-beta / 2.0), 4.0 / (9.0 * n**lam))
+    return _finish(3.0 * n ** (-beta / 2.0), 4.0 / (9.0 * _pow(n, lam)))
 
 
 def gaussian_tail_bound(n: int, epsilon: float, delta: float, s: float) -> DeviationBound:
@@ -102,8 +111,9 @@ def gaussian_tail_bound(n: int, epsilon: float, delta: float, s: float) -> Devia
     _require(0.0 < epsilon < 1.0 / 3.0, "epsilon must lie in (0, 1/3)")
     _require(delta > 0.0, "delta must be positive")
     _require(s >= 0.0, "s must be nonnegative")
-    nd = n**delta
+    nd = _pow(n, delta)
     error = epsilon * (3.0 + 6.0 * s / math.sqrt(nd) + 5.0 * s * s * epsilon / nd)
+    _require(not math.isnan(error), "s**2 and n**delta both exceed the double range")
     return _finish(error, (10.0 / 9.0) * math.exp(-s * s / 4.0))
 
 
@@ -117,7 +127,7 @@ def simplified_gaussian_bound(n: int, epsilon: float, delta: float) -> Deviation
     _require(n > 24, "n must exceed 24")
     _require(0.0 < epsilon < 1.0 / 3.0, "epsilon must lie in (0, 1/3)")
     _require(delta > 0.0, "delta must be positive")
-    return _finish(22.0 * epsilon, (10.0 / 9.0) * math.exp(-(n**delta)))
+    return _finish(22.0 * epsilon, (10.0 / 9.0) * math.exp(-_pow(n, delta)))
 
 
 def load_factor_bound(epsilon: float, L: float) -> DeviationBound:
@@ -149,7 +159,7 @@ def exponent_form_bound(n: int, beta: float, lam: float) -> DeviationBound:
     _require(lam > 0.5, "lambda must exceed 1/2")
     return _finish(
         (22.0 / 5.0) * n ** (-beta / 2.0),
-        (10.0 / 9.0) * math.exp(-(n ** (lam - 0.5))),
+        (10.0 / 9.0) * math.exp(-_pow(n, lam - 0.5)),
     )
 
 
@@ -164,8 +174,9 @@ def params_from_load(n: int, L: float, epsilon: float) -> BoundParams:
     _require(L > 0.0, "L must be positive")
     c = L * epsilon * epsilon
     _require(c > 1.0 + _BOUNDARY_TOL, "L*epsilon**2 must exceed 1 (delta must be positive)")
-    delta = math.log(c) / math.log(n)
     m_exact = L * n
+    _require(math.isfinite(m_exact), f"L*n must be finite, got {m_exact}")
+    delta = math.log(c) / math.log(n)
     return BoundParams(
         n=int(n),
         m=int(round(m_exact)),

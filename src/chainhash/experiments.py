@@ -3,8 +3,8 @@
 Every trial is a pure function of (config, trial index): trial t draws its
 keys with the stream seed ``base_seed XOR (t * GOLDEN)``, so runs are
 reproducible, trials could be executed in any order, and re-running a
-single index reproduces its record.  Reports carry per-trial records (full
-up to a cap, a seeded reservoir sample beyond it) plus streaming aggregates
+single index reproduces its record.  Reports carry per-trial records (all
+of them up to a cap, the first ones beyond it) plus streaming aggregates
 that never depend on the cap.
 """
 
@@ -19,8 +19,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 from . import rng, search_time
 from .bounds import (
@@ -45,10 +43,12 @@ from .probability import (
     sample_from_cdf,
 )
 
-# Per-trial records are kept verbatim up to this many trials; past it the
-# report holds a reservoir sample instead (aggregates always cover all trials).
+# Per-trial records are kept verbatim up to RECORD_CAP trials; past it a run
+# keeps the records of its first CAPPED_RECORDS trials, which are as fair a
+# sample as any, since trials are i.i.d. pure functions of their own seeds
+# (aggregates always cover all trials).
 RECORD_CAP = 10**6
-RESERVOIR_SIZE = 10**4
+CAPPED_RECORDS = 10**4
 
 # Trials are drawn in blocks of B = max(1, _BLOCK_DRAWS // m) with one stream
 # and one sampler call per block, which shares the fixed cost of those calls
@@ -61,11 +61,6 @@ RESERVOIR_SIZE = 10**4
 # and 2**17 spill.  In benchmark runs 2**15 and 2**16 were level on the Zipf
 # workload and 2**16 led on the other two.
 _BLOCK_DRAWS = 2**16
-
-# Stream tag for reservoir-replacement decisions, far outside any trial index,
-# and how many of its doubles are drawn at a time.
-_RESERVOIR_TAG = 0x7265736572766F69
-_RESERVOIR_BLOCK = 2**16
 
 CSV_HEADER = ("trial", "value", "rel_error", "violation")
 
@@ -345,46 +340,22 @@ def resolve_ast_bound(
     )
 
 
-def _kept_trials(trials: int, base_seed: int, record_cap: int, reservoir_size: int):
-    """The trials whose records a run keeps, in trial order.
-
-    Up to ``record_cap`` trials a run keeps them all.  Past it, it keeps the
-    reservoir sample of Vitter's Algorithm R: trials 0..size-1 fill the slots,
-    and trial t >= size takes slot ``int(u_t * (t + 1))`` when that is below
-    the size, where u_t is double t of the stream seeded with
-    ``trial_seed(base_seed, _RESERVOIR_TAG)``; a later trial overwrites an
-    earlier one.  The doubles are drawn ``_RESERVOIR_BLOCK`` at a time.
-    """
-    if trials <= record_cap:
-        return range(trials)
-    slots = np.arange(min(trials, reservoir_size))
-    seed = rng.trial_seed(base_seed, _RESERVOIR_TAG)
-    for start in range(slots.size, trials, _RESERVOIR_BLOCK):
-        t = np.arange(start, min(start + _RESERVOIR_BLOCK, trials))
-        j = (rng.stream_doubles(seed, t.size, offset=start) * (t + 1)).astype(np.int64)
-        hit = j < slots.size
-        np.maximum.at(slots, j[hit], t[hit])  # the last writer has the largest t
-    return np.sort(slots).tolist()
-
-
 def _run_trials(
-    q: ProbabilityVector, m: int, trials: int, base_seed: int, measure, kept, aux_field: str
+    q: ProbabilityVector, m: int, trials: int, base_seed: int, measure, kept: int, aux_field: str
 ):
     """Draw and measure every trial; returns (value stats, aux stats, violations, records).
 
     Trial t samples m keys from ``q`` with the seed ``trial_seed(base_seed, t)``
     and passes them to ``measure``, which returns (value, aux, violation).  The
-    trials in ``kept`` (in trial order) leave a record with the aux figure in
-    its field ``aux_field``.  Consecutive trials are sampled a block at a
-    time (see ``_BLOCK_DRAWS``) and then measured one by one, in trial order.
+    first ``kept`` trials leave a record with the aux figure in its field
+    ``aux_field``.  Consecutive trials are sampled a block at a time (see
+    ``_BLOCK_DRAWS``) and then measured one by one, in trial order.
     """
     cdf, guide = q.cdf, q.guide
     block = max(1, _BLOCK_DRAWS // m)
     stats, aux_stats = _Welford(), _Welford()
     violations = 0
     records = []
-    kept = iter(kept)
-    keep = next(kept, None)
     for start in range(0, trials, block):
         seeds = [rng.trial_seed(base_seed, t) for t in range(start, min(start + block, trials))]
         for t, keys in enumerate(sample_from_cdf(cdf, seeds, m, guide), start):
@@ -392,21 +363,9 @@ def _run_trials(
             violations += violation
             stats.add(value)
             aux_stats.add(aux)
-            if t == keep:
+            if t < kept:
                 records.append(TrialRecord(t, value, violation, **{aux_field: aux}))
-                keep = next(kept, None)
     return stats, aux_stats, violations, tuple(records)
-
-
-def _collision_measure(h: HashModel, p_norm_sq: float, ceiling: float):
-    """The empirical collision probability, its relative error, and error > ceiling."""
-
-    def measure(x: KeySequence):
-        est = empirical_collision_probability(count_slots(x, h))
-        rel = relative_error(est, p_norm_sq)
-        return est.empirical_cp, rel, rel > ceiling
-
-    return measure
 
 
 def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -425,8 +384,12 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
     p_norm_sq = norm_sq(slot_probabilities(q, h))
     bound = resolve_collision_bound(cfg.bound, cfg.n, cfg.m)
 
-    kept = _kept_trials(cfg.trials, cfg.base_seed, RECORD_CAP, RESERVOIR_SIZE)
-    measure = _collision_measure(h, p_norm_sq, bound.error_bound)
+    def measure(x: KeySequence):
+        est = empirical_collision_probability(count_slots(x, h))
+        rel = relative_error(est, p_norm_sq)
+        return est.empirical_cp, rel, rel > bound.error_bound
+
+    kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
     stats, _, violations, records = _run_trials(
         q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "rel_error"
     )
@@ -470,7 +433,7 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
         upper = search_time.search_time_upper(v, count_slots(x, h))
         return upper, search_time.average_search_time(v, x, h), upper > bound.value
 
-    kept = _kept_trials(cfg.trials, cfg.base_seed, RECORD_CAP, RESERVOIR_SIZE)
+    kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
     upper_stats, exact_stats, violations, records = _run_trials(
         q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "ast_exact"
     )
@@ -492,10 +455,13 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch on config kind and honor its output/csv paths; a path whose
-    directory is missing fails before the first trial and opens no file."""
-    for path in (cfg.output, cfg.csv_path):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Dispatch on config kind and honor its output/csv paths; a path that is a
+    directory, or whose directory is missing, fails before the first trial and
+    opens no file."""
+    for path in filter(None, (cfg.output, cfg.csv_path)):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if cfg.kind == "collision":
         report = run_collision_trials(cfg)
@@ -531,42 +497,3 @@ def slot_count_perturbation(x: KeySequence, y: KeySequence, h: HashModel) -> Per
     lhs = int(abs(kx - ky).sum())
     rhs = 2 * int((x.keys != y.keys).sum())
     return PerturbationCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
-
-
-@dataclass(frozen=True)
-class UnbiasednessResult:
-    """Sample mean of the estimator vs its analytic target ||p||^2."""
-
-    sample_mean: float
-    p_norm_sq: float
-    z_score: float
-    sample_std: float
-    trials: int
-    exact_match: bool
-
-
-def unbiasedness_check(
-    dist: ProbabilityVector, h: HashModel, m: int, trials: int, base_seed: int
-) -> UnbiasednessResult:
-    """Monte Carlo check that E[empirical collision probability] = ||p||^2.
-
-    Returns the z-score of the sample mean; with zero sample variance
-    (e.g. a point-mass distribution) the z-score is NaN and ``exact_match``
-    reports whether the constant value hit the target exactly.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if trials < 100:
-        raise ValueError("trials must be at least 100")
-    p_norm_sq = norm_sq(slot_probabilities(dist, h))
-    measure = _collision_measure(h, p_norm_sq, math.inf)
-    stats = _run_trials(dist, m, trials, base_seed, measure, (), "rel_error")[0]
-    std = stats.sample_std
-    return UnbiasednessResult(
-        sample_mean=stats.mean,
-        p_norm_sq=p_norm_sq,
-        z_score=(stats.mean - p_norm_sq) / (std / math.sqrt(trials)) if std else math.nan,
-        sample_std=std,
-        trials=trials,
-        exact_match=std == 0.0 and stats.mean == p_norm_sq,
-    )

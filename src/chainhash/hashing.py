@@ -192,7 +192,7 @@ def slot_probabilities(q: ProbabilityVector, h: HashModel) -> ProbabilityVector:
 def count_slots(x: KeySequence, h: HashModel) -> SlotCounts:
     """k_i = number of keys of x (with multiplicity) hashing to slot i."""
     _check_keys(x, h)
-    slots = h.slots_of(x.keys)
+    slots = h.slots_of(x._owner)
     return SlotCounts(np.bincount(slots, minlength=h.slots))
 
 
@@ -204,7 +204,7 @@ def distinct_counts(x: KeySequence, h: HashModel) -> SlotCounts:
     """
     _check_keys(x, h)
     if x.universe <= _BINCOUNT_UNIVERSE_PER_KEY * len(x):
-        uniq = np.flatnonzero(np.bincount(x.keys, minlength=x.universe))
+        uniq = np.flatnonzero(np.bincount(x._owner, minlength=x.universe))
     else:
         uniq = np.unique(x.keys)
     slots = h.slots_of(uniq)

@@ -132,7 +132,7 @@ def check_integral(arr: np.ndarray, what: str) -> None:
 class KeySequence:
     """An ordered sequence of key indices drawn from {0, .., universe-1}."""
 
-    __slots__ = ("_keys", "_universe")
+    __slots__ = ("_owner", "_keys", "_universe")
 
     def __init__(self, keys: Sequence[int] | np.ndarray, universe: int):
         universe = _check_integer(universe, "universe size")
@@ -143,10 +143,12 @@ class KeySequence:
             raise ValueError("keys must be a 1-d sequence")
         if arr.dtype != np.int64:  # the sampler's keys skip the check
             check_integral(arr, "keys")
-            arr = arr.astype(np.int64)
+        arr = arr.astype(np.int64)  # always a copy: a later write by the caller skips no check
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= universe):
             raise ValueError("key index out of range for universe size %d" % universe)
-        self._keys = _read_only(arr)  # frozen without freezing the caller's array
+        # np.bincount copies read-only input, so it reads this owner; nothing writes it.
+        self._owner = arr
+        self._keys = _read_only(arr)
         self._universe = universe
 
     @property

@@ -39,9 +39,8 @@ from chainhash import (
     sample,
     search_time_upper,
     slot_count_perturbation,
-    unbiasedness_check,
 )
-from oracle import brute_force_collision_pairs
+from oracle import brute_force_collision_pairs, unbiasedness_check
 
 COVERAGE_TRIALS = 10**4
 

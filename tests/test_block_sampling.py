@@ -44,7 +44,7 @@ def blocked_keys(monkeypatch, q, m, trials, base_seed, block_draws):
         seen.append(x.keys.copy())
         return 0.0, 0.0, False
 
-    experiments._run_trials(q, m, trials, base_seed, measure, (), "rel_error")
+    experiments._run_trials(q, m, trials, base_seed, measure, 0, "rel_error")
     return seen, calls
 
 
@@ -119,7 +119,7 @@ CONFIGS = {
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_outputs_do_not_depend_on_the_block_size(monkeypatch, tmp_path, kind):
     monkeypatch.setattr(experiments, "RECORD_CAP", 20)
-    monkeypatch.setattr(experiments, "RESERVOIR_SIZE", 5)
+    monkeypatch.setattr(experiments, "CAPPED_RECORDS", 5)
     outputs = set()
     for block_draws in (1, 3 * 2000, 7 * 2000, experiments._BLOCK_DRAWS):
         monkeypatch.setattr(experiments, "_BLOCK_DRAWS", block_draws)

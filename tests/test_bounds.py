@@ -75,6 +75,9 @@ class TestGaussianTail:
             gaussian_tail_bound(100, 0.1, 0.0, 1.0)
         with pytest.raises(ValueError, match="s"):
             gaussian_tail_bound(100, 0.1, 1.0, -1.0)
+        # s**2 / n**delta is inf / inf: rejected rather than reported as NaN.
+        with pytest.raises(ValueError, match="double range"):
+            gaussian_tail_bound(30, 0.1, 1e10, 1e200)
 
     def test_monotonicity(self):
         grid = np.linspace(0.01, 0.33, 8)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -206,6 +207,31 @@ class TestBound:
         )
         assert code == 0
         assert abs(json.loads(out)["error_bound"] - 0.03) < 1e-12
+
+    @pytest.mark.parametrize(
+        "flags, underflow",
+        [
+            (["gaussian", "--n", "30", "--eps", "0.1", "--delta", "1e10", "--s", "1"], False),
+            (["simplified-gaussian", "--n", "1000000000", "--eps", "0.1", "--delta", "1e5"], True),
+            (["polynomial", "--n", "1000000", "--beta", "1", "--lambda", "1e10"], True),
+            (["exponent-form", "--n", "30", "--beta", "1", "--lambda", "1e10"], True),
+        ],
+    )
+    def test_power_above_the_double_range_is_infinite(self, capsys, flags, underflow):
+        code, out, err = run(capsys, "bound", "--form", *flags, "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["underflow"] is underflow
+        assert data["confidence"] == (1.0 if underflow else 1.0 - (10 / 9) * math.exp(-0.25))
+        if flags[0] == "gaussian":  # n**delta = inf leaves only the leading 3*eps
+            assert data["error_bound"] == 0.1 * 3.0
+
+    def test_params_with_load_times_n_above_the_double_range(self, capsys):
+        code, out, err = run(
+            capsys, "bound", "--form", "params", "--n", "30", "--load", "1e308", "--eps", "0.3"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: L*n must be finite, got inf\n"
 
 
 class TestAstBound:
@@ -552,6 +578,22 @@ class TestExperimentCommand:
         assert (code, out) == (1, "")
         assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
         assert kept.read_text() == "kept" and not missing.parent.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("slash", ["", "/"])
+    def test_output_path_that_is_a_directory_fails_before_sampling(
+        self, tmp_path, capsys, no_stream, flag, slash
+    ):
+        cfg = {
+            "kind": "collision", "n": 16, "m": 640, "trials": 3, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        path = str(tmp_path) + slash
+        code, out, err = run(capsys, "experiment", "--config", str(tmp_path / "cfg.json"), flag, path)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 21] Is a directory: {path!r}\n"
 
     def test_key_count_above_the_cap_is_domain_error(self, tmp_path, capsys, no_stream):
         cfg = {

@@ -20,7 +20,6 @@ from chainhash.experiments import (
     run_collision_trials,
     run_experiment,
     slot_count_perturbation,
-    unbiasedness_check,
 )
 from chainhash.hashing import HashModel, count_slots, slot_probabilities
 from chainhash.probability import (
@@ -31,6 +30,7 @@ from chainhash.probability import (
     sample,
     sample_from_cdf,
 )
+from oracle import unbiasedness_check
 
 
 def collision_config(**overrides):
@@ -179,6 +179,10 @@ class TestSpecBoundary:
     def test_collision_bound_spec_rejected(self, spec, named):
         with pytest.raises(ValueError, match=repr(named)):
             resolve_collision_bound(spec, 64, 6400)
+
+    def test_collision_bound_spec_with_a_power_above_the_double_range(self):
+        bound = resolve_collision_bound({"name": "polynomial", "beta": 1, "lambda": 1e10}, 64, 6400)
+        assert bound.underflow and bound.confidence == 1.0
 
     @pytest.mark.parametrize(
         "spec, named",
@@ -422,10 +426,12 @@ class TestReportOutput:
 
 
 class TestReservoir:
+    """Runs past the record cap keep the records of their first trials."""
+
     def test_small_cap_keeps_deterministic_sample(self, monkeypatch):
         cfg = collision_config(trials=300)
         monkeypatch.setattr("chainhash.experiments.RECORD_CAP", 100)
-        monkeypatch.setattr("chainhash.experiments.RESERVOIR_SIZE", 20)
+        monkeypatch.setattr("chainhash.experiments.CAPPED_RECORDS", 20)
         a = run_collision_trials(cfg)
         b = run_collision_trials(cfg)
         assert len(a.records) == 20
@@ -438,8 +444,24 @@ class TestReservoir:
         cfg = collision_config(trials=300)
         full = run_collision_trials(cfg)
         monkeypatch.setattr("chainhash.experiments.RECORD_CAP", 100)
-        monkeypatch.setattr("chainhash.experiments.RESERVOIR_SIZE", 20)
+        monkeypatch.setattr("chainhash.experiments.CAPPED_RECORDS", 20)
         capped = run_collision_trials(cfg)
+        assert capped.aggregates_json() == full.aggregates_json()
+
+    # (trials, record cap, records kept past it)
+    @pytest.mark.parametrize(
+        "trials, cap, kept",
+        [(120, 50, 30), (300, 100, 20), (150, 100, 150), (150, 100, 500), (61, 60, 1),
+         (40, 0, 17), (40, 0, 0), (1, 0, 1)],
+    )
+    @pytest.mark.parametrize("make", [collision_config, ast_config], ids=["collision", "ast"])
+    def test_capped_report_keeps_the_first_trials(self, monkeypatch, make, trials, cap, kept):
+        cfg = make(trials=trials)
+        full = run_experiment(cfg)
+        monkeypatch.setattr("chainhash.experiments.RECORD_CAP", cap)
+        monkeypatch.setattr("chainhash.experiments.CAPPED_RECORDS", kept)
+        capped = run_experiment(cfg)
+        assert capped.records == full.records[:kept]
         assert capped.aggregates_json() == full.aggregates_json()
 
 

@@ -4,9 +4,12 @@ Each run below is small and fixed.  Its canonical aggregates JSON, CSV
 bytes, ``repr`` of the kept records and ``repr`` of the evaluated bound
 must hash to the digests recorded here, which were taken from the
 per-kind trial loops before they became one (the last three runs: from the
-trial-at-a-time loop, before trials were drawn in blocks).  Criterion 9 only
-compares two reruns of the same code; these digests catch a change in any
-output byte between versions, including which trials a capped run keeps.
+trial-at-a-time loop, before trials were drawn in blocks).  The CSV and
+records digests of the two runs that keep fewer records than they have
+trials were taken when capped runs began to keep their first trials instead
+of a reservoir sample.  Criterion 9 only compares two reruns of the same
+code; these digests catch a change in any output byte between versions,
+including which trials a capped run keeps.
 """
 
 import hashlib
@@ -18,8 +21,8 @@ from chainhash.experiments import (
     distribution_from_spec,
     hash_from_spec,
     run_experiment,
-    unbiasedness_check,
 )
+from oracle import unbiasedness_check
 
 
 def sha(data) -> str:
@@ -45,7 +48,7 @@ AST_RESTRICTED = {
 UNIFORM = collision({"name": "uniform"}, {"mode": "identity"})
 CAPPED = collision({"name": "uniform"}, {"mode": "identity"}, trials=150)
 
-# name -> (config, record_cap, reservoir_size)
+# name -> (config, record_cap, capped_records)
 RUNS = {
     "collision-uniform-identity": (UNIFORM, 10**6, 10**4),
     "collision-zipf-random-table": (
@@ -66,7 +69,7 @@ RUNS = {
         10**6,
         10**4,
     ),
-    # 1000 trials at m=300 (blocks of 27) past a cap of 200: a reservoir of 50.
+    # 1000 trials at m=300 (blocks of 27) past a cap of 200: the first 50 records.
     "capped-zipf-random-table": (
         collision(
             {"name": "zipf", "exponent": 1.0},
@@ -96,8 +99,8 @@ PINNED = {
     ),
     "capped-reservoir-20": (
         "3b85d8b99d190455bda94a0bac7660c0623f06ad2845ab66d4be40ba696715ab",
-        "75daffe3560053c8001414714b02f8b670c204b1e29913003dfc9c231fefca7e",
-        "b682ca034e61c5f8a272b9b66775fcc432accb89b47fca1b85d2040f1ff2a4b4",
+        "041f3f94758e105bed45e71a21dbdb5188875ecd91ddd69d816ff8b88c508de0",
+        "86bdb6b05a88eeae937dcd15baa2167c633061e11f69519ed31cb93ada7f5607",
         "53a839dab84db263a9a62bc1a90c42a29233f2e5dbfcbb7b508a1514caba3aa5",
     ),
     "capped-reservoir-200": (
@@ -114,8 +117,8 @@ PINNED = {
     ),
     "capped-zipf-random-table": (
         "0f5dcfe8500eef1695607e50683699de8f3c401a8f05f133d2024170cb3cf950",
-        "a8a63a5596f801a02f9f7c1342f37abfe9a51c620aded1ed1137757fce9c8294",
-        "d6b8a690603a5f1c787c13d58e35b12567a45a6e13742b56074e4e591a51ab9f",
+        "4bf8c99da4f3b82b59cf81cefc5ac8bc6331f453b887e1d9e17b4075691b0d79",
+        "9aeecf29a3dc0ef5f4dd0bab969a0e1c647bbdc953ee46dc13e3c2ca77c94a9f",
         "a9e3b53d3b79066fcc36093fecfde09d2db7ec10b9a8679d9afa482563f0b4b1",
     ),
     "collision-uniform-identity": (
@@ -141,9 +144,9 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
-    data, record_cap, reservoir_size = RUNS[name]
+    data, record_cap, capped_records = RUNS[name]
     monkeypatch.setattr("chainhash.experiments.RECORD_CAP", record_cap)
-    monkeypatch.setattr("chainhash.experiments.RESERVOIR_SIZE", reservoir_size)
+    monkeypatch.setattr("chainhash.experiments.CAPPED_RECORDS", capped_records)
     path = tmp_path / "trials.csv"
     report = run_experiment(ExperimentConfig.from_dict({**data, "csv": str(path)}))
     got = (

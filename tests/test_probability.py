@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from chainhash.hashing import HashModel, count_slots, distinct_counts
 from chainhash.probability import (
     KeySequence,
     ProbabilityVector,
@@ -193,9 +194,18 @@ class TestKeySequence:
         x = KeySequence(a, 8)
         a[0] = 0
         assert a.flags.writeable and not x.keys.flags.writeable
-        assert np.shares_memory(a, x.keys)  # frozen through a view, not a copy
+        assert not np.shares_memory(a, x.keys)  # a copy: the caller's write does not reach it
+        assert x.keys.tolist() == [1, 2, 3]
         with pytest.raises(ValueError, match="read-only"):
             x.keys[0] = 1
+
+    @pytest.mark.parametrize("keys", [np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0])])
+    def test_caller_write_cannot_skip_the_range_check(self, keys):
+        x = KeySequence(keys, 4)
+        keys[0] = 100
+        h = HashModel.identity(4)
+        assert count_slots(x, h).counts.tolist() == [0, 1, 1, 1]
+        assert distinct_counts(x, h).counts.tolist() == [0, 1, 1, 1]
 
 
 class TestSample:
