@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
-from . import rng, search_time
+from . import hashing, rng, search_time
 from .bounds import (
     DeviationBound,
     exponent_form_bound,
@@ -345,11 +345,11 @@ def _run_trials(
 ):
     """Draw and measure every trial; returns (value stats, aux stats, violations, records).
 
-    Trial t samples m keys from ``q`` with the seed ``trial_seed(base_seed, t)``
-    and passes them to ``measure``, which returns (value, aux, violation).  The
-    first ``kept`` trials leave a record with the aux figure in its field
-    ``aux_field``.  Consecutive trials are sampled a block at a time (see
-    ``_BLOCK_DRAWS``) and then measured one by one, in trial order.
+    Trial t samples m keys from ``q`` with the seed ``trial_seed(base_seed, t)``.
+    Consecutive trials are sampled a block at a time (see ``_BLOCK_DRAWS``),
+    one key row per trial, and ``measure`` takes the block and yields each
+    row's (value, aux, violation) in trial order.  The first ``kept`` trials
+    leave a record with the aux figure in its field ``aux_field``.
     """
     cdf, guide = q.cdf, q.guide
     block = max(1, _BLOCK_DRAWS // m)
@@ -358,14 +358,27 @@ def _run_trials(
     records = []
     for start in range(0, trials, block):
         seeds = [rng.trial_seed(base_seed, t) for t in range(start, min(start + block, trials))]
-        for t, keys in enumerate(sample_from_cdf(cdf, seeds, m, guide), start):
-            value, aux, violation = measure(KeySequence(keys, len(q)))
+        # `keys` holds each block until the next is drawn: freeing it first churns the heap.
+        keys = sample_from_cdf(cdf, seeds, m, guide)
+        for t, (value, aux, violation) in enumerate(measure(keys), start):
             violations += violation
             stats.add(value)
             aux_stats.add(aux)
             if t < kept:
                 records.append(TrialRecord(t, value, violation, **{aux_field: aux}))
     return stats, aux_stats, violations, tuple(records)
+
+
+def _report(cfg, start: float, kind: str, bound, stats, records, **aggregates) -> ExperimentReport:
+    """A run's report: aggregates trials, mean and sample_std, then ``aggregates`` in order."""
+    shared = {"trials": cfg.trials, "mean": stats.mean, "sample_std": stats.sample_std}
+    return ExperimentReport(
+        config=cfg,
+        bound={"kind": kind, **asdict(bound)},
+        aggregates={**shared, **aggregates},
+        records=records,
+        duration_seconds=time.perf_counter() - start,
+    )
 
 
 def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -384,29 +397,20 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
     p_norm_sq = norm_sq(slot_probabilities(q, h))
     bound = resolve_collision_bound(cfg.bound, cfg.n, cfg.m)
 
-    def measure(x: KeySequence):
-        est = empirical_collision_probability(count_slots(x, h))
-        rel = relative_error(est, p_norm_sq)
-        return est.empirical_cp, rel, rel > bound.error_bound
+    def measure(keys):
+        # The per-row public calls stay: a traced benchmark run replays their values.
+        for k in hashing.block_slot_counts(keys, h):
+            est = empirical_collision_probability(hashing.SlotCounts(k))
+            rel = relative_error(est, p_norm_sq)
+            yield est.empirical_cp, rel, rel > bound.error_bound
 
     kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
     stats, _, violations, records = _run_trials(
         q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "rel_error"
     )
-    aggregates = {
-        "trials": cfg.trials,
-        "mean": stats.mean,
-        "sample_std": stats.sample_std,
-        "violations": violations,
-        "violation_frequency": violations / cfg.trials,
-        "p_norm_sq": p_norm_sq,
-    }
-    return ExperimentReport(
-        config=cfg,
-        bound={"kind": "deviation", **asdict(bound)},
-        aggregates=aggregates,
-        records=records,
-        duration_seconds=time.perf_counter() - start,
+    return _report(
+        cfg, start, "deviation", bound, stats, records, violations=violations,
+        violation_frequency=violations / cfg.trials, p_norm_sq=p_norm_sq,
     )
 
 
@@ -429,28 +433,19 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
         cfg.bound, L, h.slots, math.sqrt(norm_sq(v)), math.sqrt(norm_sq(p))
     )
 
-    def measure(x: KeySequence):
-        upper = search_time.search_time_upper(v, count_slots(x, h))
-        return upper, search_time.average_search_time(v, x, h), upper > bound.value
+    def measure(keys):
+        for row in keys:
+            x = KeySequence(row, len(q))
+            upper = search_time.search_time_upper(v, count_slots(x, h))
+            yield upper, search_time.average_search_time(v, x, h), upper > bound.value
 
     kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
     upper_stats, exact_stats, violations, records = _run_trials(
         q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "ast_exact"
     )
-    aggregates = {
-        "trials": cfg.trials,
-        "mean": upper_stats.mean,
-        "sample_std": upper_stats.sample_std,
-        "exact_mean": exact_stats.mean,
-        "violations": violations,
-        "violation_frequency": violations / cfg.trials,
-    }
-    return ExperimentReport(
-        config=cfg,
-        bound={"kind": "search-time", **asdict(bound)},
-        aggregates=aggregates,
-        records=records,
-        duration_seconds=time.perf_counter() - start,
+    return _report(
+        cfg, start, "search-time", bound, upper_stats, records, exact_mean=exact_stats.mean,
+        violations=violations, violation_frequency=violations / cfg.trials,
     )
 
 

@@ -196,6 +196,13 @@ def count_slots(x: KeySequence, h: HashModel) -> SlotCounts:
     return SlotCounts(np.bincount(slots, minlength=h.slots))
 
 
+def block_slot_counts(keys: np.ndarray, h: HashModel) -> np.ndarray:
+    """Row r of the (B, n) int64 result is :func:`count_slots` of ``keys[r]``, from one
+    bincount over slot + r*n (keys unchecked: the sampler's lie in the universe)."""
+    slots = h.slots_of(keys) + np.arange(0, len(keys) * h.slots, h.slots)[:, None]
+    return np.bincount(slots.ravel(), minlength=len(keys) * h.slots).reshape(-1, h.slots)
+
+
 def distinct_counts(x: KeySequence, h: HashModel) -> SlotCounts:
     """Like :func:`count_slots` but each distinct key value counts once.
 

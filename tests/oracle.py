@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from chainhash import experiments
 from chainhash.estimator import empirical_collision_probability, relative_error
-from chainhash.hashing import count_slots, slot_probabilities
+from chainhash.hashing import SlotCounts, block_slot_counts, slot_probabilities
 from chainhash.probability import norm_sq
 
 
@@ -53,9 +53,10 @@ def unbiasedness_check(dist, h, m: int, trials: int, base_seed: int) -> Unbiased
         raise ValueError("trials must be at least 100")
     p_norm_sq = norm_sq(slot_probabilities(dist, h))
 
-    def measure(x):
-        est = empirical_collision_probability(count_slots(x, h))
-        return est.empirical_cp, relative_error(est, p_norm_sq), False
+    def measure(keys):
+        for k in block_slot_counts(keys, h):
+            est = empirical_collision_probability(SlotCounts(k))
+            yield est.empirical_cp, relative_error(est, p_norm_sq), False
 
     stats = experiments._run_trials(dist, m, trials, base_seed, measure, 0, "rel_error")[0]
     std = stats.sample_std

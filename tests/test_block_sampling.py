@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from chainhash import experiments, rng
 from chainhash.experiments import ExperimentConfig, run_experiment
 from chainhash.probability import (
-    KeySequence,
     make_restricted_uniform,
     make_uniform,
     make_zipf,
@@ -40,9 +39,10 @@ def blocked_keys(monkeypatch, q, m, trials, base_seed, block_draws):
     monkeypatch.setattr(experiments, "sample_from_cdf", spy)
     seen = []
 
-    def measure(x: KeySequence):
-        seen.append(x.keys.copy())
-        return 0.0, 0.0, False
+    def measure(keys):
+        for row in keys:
+            seen.append(row.copy())
+            yield 0.0, 0.0, False
 
     experiments._run_trials(q, m, trials, base_seed, measure, 0, "rel_error")
     return seen, calls
@@ -128,6 +128,29 @@ def test_outputs_do_not_depend_on_the_block_size(monkeypatch, tmp_path, kind):
         report = run_experiment(cfg)
         outputs.add((report.aggregates_json(), path.read_bytes(), repr(report.records)))
     assert len(outputs) == 1
+
+
+def test_blocks_do_not_churn_the_heap():
+    # Freeing a block before drawing the next one let glibc trim the heap and
+    # fault the pages back in: 200 to 400 minor faults per block of 64 trials
+    # here, against under one per block with the block kept until the next draw.
+    resource = pytest.importorskip("resource")
+    uniform_64 = {
+        **CONFIGS["collision"], "n": 64, "m": 1024,
+        "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+    }
+
+    def faults(trials):
+        cfg = ExperimentConfig.from_dict({**uniform_64, "trials": trials})
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        experiments.run_collision_trials(cfg)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    blocks = 40
+    trials = blocks * (experiments._BLOCK_DRAWS // 1024)
+    faults(trials)  # warm-up: the heap grows to its working size
+    extra = faults(2 * trials) - faults(trials)
+    assert extra / blocks < 64, extra
 
 
 seeds = st.integers(0, 2**64 - 1)

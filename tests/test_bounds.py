@@ -2,6 +2,7 @@
 evaluation of each formula (mpmath, 30 digits), plus the domain checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from chainhash.bounds import (
     polynomial_tail_bound,
     simplified_gaussian_bound,
 )
+from chainhash.experiments import resolve_collision_bound
+from chainhash.search_time import search_time_bound_eps, search_time_bound_margin
 
 
 class TestPolynomialTail:
@@ -226,3 +229,33 @@ class TestDeviationBoundType:
             s = float(gen.uniform(0.0, 30.0))
             b = gaussian_tail_bound(n, eps, delta, s)
             assert b.error_bound >= 0.0 and b.confidence <= 1.0
+
+
+class TestSlotCountRange:
+    """n must be a double: n**x raises OverflowError for a larger int n."""
+
+    CALLS = {
+        "polynomial": lambda n: polynomial_tail_bound(n, 1.0, 0.5),
+        "gaussian": lambda n: gaussian_tail_bound(n, 0.1, 0.5, 1.0),
+        "simplified-gaussian": lambda n: simplified_gaussian_bound(n, 0.1, 1e-3),
+        "exponent-form": lambda n: exponent_form_bound(n, 1.0, 0.75),
+        "params": lambda n: params_from_load(n, 200.0, 0.1),
+        "eps-form": lambda n: search_time_bound_eps(200.0, n, 0.1, 1.0, 0.1),
+        "margin-form": lambda n: search_time_bound_margin(200.0, n, 0.1, 1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_n_above_the_double_range_rejected(self, name):
+        with pytest.raises(ValueError, match=r"^n exceeds the double range"):
+            self.CALLS[name](10**400)
+
+    def test_largest_double_n_keeps_a_representable_tail(self):
+        # n**0.5 is about 1.3e154, so the tail 4/(9*n**0.5) is tiny but not 0.
+        n = int(sys.float_info.max)
+        b = polynomial_tail_bound(n, 1.0, 0.5)
+        assert not b.underflow and b.error_bound == 3.0 * sys.float_info.max**-0.5
+
+    def test_config_bound_spec_rejects_n_by_name(self):
+        spec = {"name": "polynomial", "beta": 1.0, "lambda": 1.0}
+        with pytest.raises(ValueError, match=r"^n exceeds the double range"):
+            resolve_collision_bound(spec, 10**400, 1000)

@@ -226,6 +226,26 @@ class TestBound:
         if flags[0] == "gaussian":  # n**delta = inf leaves only the leading 3*eps
             assert data["error_bound"] == 0.1 * 3.0
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("bound", ["polynomial", "--beta", "1", "--lambda", "1"]),
+            ("bound", ["exponent-form", "--beta", "1", "--lambda", "1"]),
+            ("bound", ["gaussian", "--eps", "0.1", "--delta", "0.5", "--s", "1"]),
+            ("bound", ["simplified-gaussian", "--eps", "0.1", "--delta", "0.5"]),
+            ("bound", ["params", "--eps", "0.1", "--load", "200"]),
+            ("ast-bound", ["eps", "--load", "200", "--v-norm", "0.1", "--p-norm", "0.1",
+                           "--eps", "0.1"]),
+            ("ast-bound", ["margin", "--load", "200", "--v-norm", "0.1", "--p-norm", "0.1",
+                           "--s", "1"]),
+        ],
+    )
+    def test_n_above_the_double_range_is_domain_error(self, capsys, command, flags):
+        # n**x would raise OverflowError, and n**lambda read as +inf would zero the tail.
+        code, out, err = run(capsys, command, "--form", *flags, "--n", str(10**400))
+        assert (code, out) == (1, "")
+        assert err == "error: n exceeds the double range (about 1.8e308)\n"
+
     def test_params_with_load_times_n_above_the_double_range(self, capsys):
         code, out, err = run(
             capsys, "bound", "--form", "params", "--n", "30", "--load", "1e308", "--eps", "0.3"

@@ -2,18 +2,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from chainhash import hashing, rng
+from chainhash import experiments, hashing, rng
 from chainhash.hashing import (
     MAX_SIZE,
     HashModel,
     SlotCounts,
+    block_slot_counts,
     count_slots,
     distinct_counts,
     slot_probabilities,
 )
-from chainhash.probability import KeySequence, ProbabilityVector, make_uniform, make_zipf, sample
+from chainhash.probability import (
+    KeySequence,
+    ProbabilityVector,
+    make_uniform,
+    make_zipf,
+    sample,
+    sample_from_cdf,
+)
 
 
 class TestHashModel:
@@ -276,3 +286,75 @@ class TestSlotCounts:
             count_slots(x, HashModel.identity(16))
         with pytest.raises(ValueError):
             distinct_counts(x, HashModel.identity(16))
+
+
+def _table_file_hash(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("".join(f"{(7 * u) % 5}\n" for u in range(23)))
+    return HashModel.from_file(path, 5)
+
+
+# Hashes the block count must agree with count_slots on; 16 slots do not divide
+# the random table's universe of 100.
+BLOCK_HASHES = {
+    "identity": lambda tmp_path: HashModel.identity(16),
+    "random-table": lambda tmp_path: HashModel.random_table(100, 16, 3),
+    "table-file": _table_file_hash,
+}
+
+
+class TestBlockSlotCounts:
+    """Differential gate: each row of block_slot_counts is count_slots of that row."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_HASHES))
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("m", [2, 37])
+    def test_rows_equal_count_slots(self, tmp_path, name, rows, m):
+        h = BLOCK_HASHES[name](tmp_path)
+        q = make_zipf(h.universe, 1.0)
+        keys = sample_from_cdf(q.cdf, [rng.trial_seed(5, t) for t in range(rows)], m)
+        counts = block_slot_counts(keys, h)
+        assert counts.shape == (rows, h.slots) and counts.dtype == np.int64
+        for row, k in zip(keys, counts):
+            assert np.array_equal(k, count_slots(KeySequence(row, h.universe), h).counts)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_HASHES))
+    def test_partial_last_block_rows_equal_count_slots(self, tmp_path, monkeypatch, name):
+        # Blocks of 3 trials over 7 trials: the trial loop's last block has one row.
+        h = BLOCK_HASHES[name](tmp_path)
+        q, m, trials, base_seed = make_zipf(h.universe, 1.0), 40, 7, 2**63 + 9
+        monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 3 * m)
+        blocks = []
+
+        def measure(keys):
+            blocks.append(block_slot_counts(keys, h))
+            return [(0.0, 0.0, False)] * len(keys)
+
+        experiments._run_trials(q, m, trials, base_seed, measure, 0, "rel_error")
+        assert [len(b) for b in blocks] == [3, 3, 1]
+        for t, k in enumerate(np.concatenate(blocks)):
+            keys = sample_from_cdf(q.cdf, rng.trial_seed(base_seed, t), m)
+            assert np.array_equal(k, count_slots(KeySequence(keys, h.universe), h).counts)
+
+
+@st.composite
+def key_blocks(draw):
+    """A hash (identity or an arbitrary table) and a (B, m) block of keys in its universe."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        h = HashModel.identity(n)
+    else:
+        h = HashModel.from_table(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40)), n)
+    rows, m = draw(st.integers(1, 6)), draw(st.integers(0, 30))
+    keys = draw(st.lists(st.integers(0, h.universe - 1), min_size=rows * m, max_size=rows * m))
+    return h, np.array(keys, dtype=np.int64).reshape(rows, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=key_blocks())
+def test_property_block_rows_equal_count_slots(case):
+    h, keys = case
+    counts = block_slot_counts(keys, h)
+    assert counts.shape == (len(keys), h.slots) and counts.dtype == np.int64
+    for row, k in zip(keys, counts):
+        assert np.array_equal(k, count_slots(KeySequence(row, h.universe), h).counts)

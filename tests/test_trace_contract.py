@@ -27,9 +27,12 @@ TRIALS = 20
 
 # The spans each kind of run must record on every trial.
 PER_TRIAL = {
-    "collision": (spans.SAMPLE, spans.KEYSEQ, spans.COUNT_SLOTS, spans.ESTIMATE, spans.REL_ERROR),
+    "collision": (spans.SAMPLE, spans.ESTIMATE, spans.REL_ERROR),
     "ast": (spans.SAMPLE, spans.KEYSEQ, spans.COUNT_SLOTS, spans.DISTINCT, spans.UPPER, spans.EXACT),
 }
+# Collision runs count a block's slots at once, with no per-trial key sequence;
+# a span of either would mean a silent fall back to the per-trial path.
+NEVER = {"collision": (spans.KEYSEQ, spans.COUNT_SLOTS), "ast": ()}
 
 
 @pytest.mark.parametrize("workload", sorted(spec.WORKLOADS))
@@ -47,4 +50,6 @@ def test_traced_run_replays_the_report(workload, tmp_path):
     recorded = [name for name, *_ in rec.spans]
     for name in PER_TRIAL[cfg["kind"]]:
         assert recorded.count(name) >= (1 if name == spans.SAMPLE else TRIALS), name
+    for name in NEVER[cfg["kind"]]:
+        assert recorded.count(name) == 0, name
     assert verify.reference_problems(verify.Reference(cfg), call["json"], call["csv"]) == []
