@@ -89,9 +89,8 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _require_n(n: int, cond: bool, message: str) -> None:
-    """Require ``cond``, and an n within the double range: a larger int n overflows n**x."""
-    _require(cond, message)
+def check_n_range(n: int) -> None:
+    """Reject an n above the double range, where an int n overflows n**x."""
     _require(n <= sys.float_info.max, "n exceeds the double range (about 1.8e308)")
 
 
@@ -101,7 +100,8 @@ def polynomial_tail_bound(n: int, beta: float, lam: float) -> DeviationBound:
     Holds for key counts m = n**(1/2 + beta + lam); the tail decays only
     polynomially in n, which is what the gaussian family improves on.
     """
-    _require_n(n, n >= 2, "n must be at least 2")
+    _require(n >= 2, "n must be at least 2")
+    check_n_range(n)
     _require(beta > 0.0, "beta must be positive")
     _require(lam >= 0.0, "lambda must be nonnegative")
     return _finish(3.0 * n ** (-beta / 2.0), 4.0 / (9.0 * _pow(n, lam)))
@@ -114,7 +114,8 @@ def gaussian_tail_bound(n: int, epsilon: float, delta: float, s: float) -> Devia
 
     with confidence 1 - (10/9) * exp(-s**2/4).
     """
-    _require_n(n, n > 24, "n must exceed 24")
+    _require(n > 24, "n must exceed 24")
+    check_n_range(n)
     _require(0.0 < epsilon < 1.0 / 3.0, "epsilon must lie in (0, 1/3)")
     _require(delta > 0.0, "delta must be positive")
     _require(s >= 0.0, "s must be nonnegative")
@@ -131,7 +132,8 @@ def simplified_gaussian_bound(n: int, epsilon: float, delta: float) -> Deviation
     margin is eps*(15 + 20*eps) < 22*eps since eps < 1/3) and the confidence
     becomes 1 - (10/9)*exp(-n**delta).
     """
-    _require_n(n, n > 24, "n must exceed 24")
+    _require(n > 24, "n must exceed 24")
+    check_n_range(n)
     _require(0.0 < epsilon < 1.0 / 3.0, "epsilon must lie in (0, 1/3)")
     _require(delta > 0.0, "delta must be positive")
     return _finish(22.0 * epsilon, (10.0 / 9.0) * math.exp(-_pow(n, delta)))
@@ -161,7 +163,8 @@ def exponent_form_bound(n: int, beta: float, lam: float) -> DeviationBound:
     for beta > log(3)/log(n) and lambda > 1/2 — same error shape as the
     polynomial bound, exponentially better tail.
     """
-    _require_n(n, n > 24, "n must exceed 24")
+    _require(n > 24, "n must exceed 24")
+    check_n_range(n)
     _require(beta > math.log(3.0) / math.log(n), "beta must exceed log(3)/log(n)")
     _require(lam > 0.5, "lambda must exceed 1/2")
     return _finish(
@@ -176,7 +179,8 @@ def params_from_load(n: int, L: float, epsilon: float) -> BoundParams:
     Inverts m = eps**-2 * n**(1+delta): delta = log(L*eps**2)/log(n), and
     m = round(L*n).  Requires L*eps**2 > 1 strictly so delta > 0.
     """
-    _require_n(n, n > 24, "n must exceed 24")
+    _require(n > 24, "n must exceed 24")
+    check_n_range(n)
     _require(0.0 < epsilon < 1.0 / 3.0, "epsilon must lie in (0, 1/3)")
     _require(L > 0.0, "L must be positive")
     c = L * epsilon * epsilon

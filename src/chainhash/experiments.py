@@ -369,18 +369,6 @@ def _run_trials(
     return stats, aux_stats, violations, tuple(records)
 
 
-def _report(cfg, start: float, kind: str, bound, stats, records, **aggregates) -> ExperimentReport:
-    """A run's report: aggregates trials, mean and sample_std, then ``aggregates`` in order."""
-    shared = {"trials": cfg.trials, "mean": stats.mean, "sample_std": stats.sample_std}
-    return ExperimentReport(
-        config=cfg,
-        bound={"kind": kind, **asdict(bound)},
-        aggregates={**shared, **aggregates},
-        records=records,
-        duration_seconds=time.perf_counter() - start,
-    )
-
-
 def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
     """Measure how often the relative error exceeds the configured bound.
 
@@ -397,20 +385,35 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
     p_norm_sq = norm_sq(slot_probabilities(q, h))
     bound = resolve_collision_bound(cfg.bound, cfg.n, cfg.m)
 
+    # Rows per slot count, so that a count holds at most about _BLOCK_DRAWS slots.
+    rows = max(1, _BLOCK_DRAWS // h.slots)
+
     def measure(keys):
         # The per-row public calls stay: a traced benchmark run replays their values.
-        for k in hashing.block_slot_counts(keys, h):
-            est = empirical_collision_probability(hashing.SlotCounts(k))
-            rel = relative_error(est, p_norm_sq)
-            yield est.empirical_cp, rel, rel > bound.error_bound
+        for i in range(0, len(keys), rows):
+            for k in hashing.block_slot_counts(keys[i : i + rows], h):
+                est = empirical_collision_probability(hashing.SlotCounts(k))
+                rel = relative_error(est, p_norm_sq)
+                yield est.empirical_cp, rel, rel > bound.error_bound
 
     kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
     stats, _, violations, records = _run_trials(
         q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "rel_error"
     )
-    return _report(
-        cfg, start, "deviation", bound, stats, records, violations=violations,
-        violation_frequency=violations / cfg.trials, p_norm_sq=p_norm_sq,
+    aggregates = {
+        "trials": cfg.trials,
+        "mean": stats.mean,
+        "sample_std": stats.sample_std,
+        "violations": violations,
+        "violation_frequency": violations / cfg.trials,
+        "p_norm_sq": p_norm_sq,
+    }
+    return ExperimentReport(
+        config=cfg,
+        bound={"kind": "deviation", **asdict(bound)},
+        aggregates=aggregates,
+        records=records,
+        duration_seconds=time.perf_counter() - start,
     )
 
 
@@ -443,9 +446,20 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
     upper_stats, exact_stats, violations, records = _run_trials(
         q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "ast_exact"
     )
-    return _report(
-        cfg, start, "search-time", bound, upper_stats, records, exact_mean=exact_stats.mean,
-        violations=violations, violation_frequency=violations / cfg.trials,
+    aggregates = {
+        "trials": cfg.trials,
+        "mean": upper_stats.mean,
+        "sample_std": upper_stats.sample_std,
+        "exact_mean": exact_stats.mean,
+        "violations": violations,
+        "violation_frequency": violations / cfg.trials,
+    }
+    return ExperimentReport(
+        config=cfg,
+        bound={"kind": "search-time", **asdict(bound)},
+        aggregates=aggregates,
+        records=records,
+        duration_seconds=time.perf_counter() - start,
     )
 
 

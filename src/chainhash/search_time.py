@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _require_n
+from .bounds import check_n_range
 from .hashing import HashModel, SlotCounts, distinct_counts
 from .probability import KeySequence, ProbabilityVector
 
@@ -67,7 +67,9 @@ def search_time_upper(v: ProbabilityVector, k: SlotCounts) -> float:
 
 
 def _check_shared(L: float, n: int) -> None:
-    _require_n(n, n > 24, "n must exceed 24")
+    if n <= 24:
+        raise ValueError("n must exceed 24")
+    check_n_range(n)
     if L <= 9.0:
         raise ValueError("load factor L must exceed 9")
 

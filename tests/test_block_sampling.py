@@ -153,6 +153,28 @@ def test_blocks_do_not_churn_the_heap():
     assert extra / blocks < 64, extra
 
 
+def test_collision_counts_stay_small_when_n_exceeds_m(monkeypatch):
+    # The collision measure counts the slots of at most _BLOCK_DRAWS // n rows
+    # at a time.  One count of this run's whole block (256 trials over 2**14
+    # slots) would take 32 MiB; 4 rows take 512 KiB.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    cfg = ExperimentConfig.from_dict({
+        **CONFIGS["collision"], "n": 2**14, "m": 2, "trials": 256,
+        "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+        "bound": {"name": "polynomial", "beta": 1.0, "lambda": 1.0},
+    })
+    tracemalloc.start()
+    try:
+        report = experiments.run_collision_trials(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 2)  # one trial per block and count
+    alone = experiments.run_collision_trials(cfg)
+    assert (report.aggregates, report.records) == (alone.aggregates, alone.records)
+
+
 seeds = st.integers(0, 2**64 - 1)
 
 
