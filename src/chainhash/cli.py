@@ -80,7 +80,8 @@ def _key_count(m: float, flag: str, least: int, what: str) -> int:
 
 
 # Flags named otherwise than the parameter they set (their argparse dest).
-_FLAG_NAMES = {"epsilon": "eps", "L": "load", "exponent": "zipf-exp", "path": "table-file"}
+_FLAG_NAMES = {"epsilon": "eps", "L": "load", "exponent": "zipf-exp", "path": "table-file",
+               "seed": "table-seed", "key_seed": "seed", "base_seed": "seed"}
 
 
 def _flag(dest: str) -> str:
@@ -126,9 +127,11 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _check_finite(args) -> None:
-    """Reject NaN and infinities in every real-valued flag, naming the flag."""
+def _check_flags(args) -> None:
+    """Reject non-finite real flags and seeds outside [0, 2**64), naming the flag."""
     for dest, value in vars(args).items():
+        if dest in ("seed", "key_seed", "base_seed") and value is not None:
+            experiments.check_seed(value, _flag(dest))
         for x in value if isinstance(value, list) else [value]:
             if isinstance(x, float) and not math.isfinite(x):
                 raise ValueError(f"{_flag(dest)} must be finite, got {x}")
@@ -156,31 +159,19 @@ def cmd_ast_bound(args) -> int:
 
 
 def cmd_restricted_access(args) -> int:
-    rows = []
-    for load in args.load:
-        b = search_time.restricted_access_bound(args.c, args.alpha, args.eps, load)
-        rows.append(
-            {
-                "load": load,
-                "center": b.center,
-                "halfwidth": b.halfwidth,
-                "confidence": b.confidence,
-            }
-        )
+    bound = search_time.restricted_access_bound
+    rows = [{"load": L, **asdict(bound(args.c, args.alpha, args.eps, L))} for L in args.load]
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
-    print("load center halfwidth confidence")
+    print(" ".join(rows[0]))
     for row in rows:
-        print(
-            f"{fmt(row['load'])} {fmt(row['center'])} "
-            f"{fmt(row['halfwidth'])} {fmt(row['confidence'])}"
-        )
+        print(" ".join(fmt(value) for value in row.values()))
     return 0
 
 
 def cmd_experiment(args) -> int:
-    flags = dict(trials=args.trials, base_seed=args.seed, output=args.out, csv_path=args.csv)
+    flags = dict(trials=args.trials, base_seed=args.base_seed, output=args.out, csv_path=args.csv)
     cfg = replace(
         experiments.ExperimentConfig.from_file(args.config),
         **{field: value for field, value in flags.items() if value is not None},
@@ -302,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, dest="base_seed", metavar="SEED")
     p.add_argument("--out")
     p.add_argument("--csv")
     p.add_argument("--json", action="store_true")
@@ -332,7 +323,7 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        _check_finite(args)
+        _check_flags(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

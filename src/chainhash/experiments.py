@@ -10,7 +10,6 @@ that never depend on the cap.
 
 from __future__ import annotations
 
-import csv
 import errno
 import json
 import math
@@ -150,6 +149,18 @@ def _config_int(value: Any, key: str) -> int:
     return _check_integer(value, f"config key {key!r}")
 
 
+def check_seed(seed: int, what: str) -> int:
+    """``seed`` if it lies in [0, 2**64); the stream would reduce any other mod 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{what} must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def _config_seed(value: Any, key: str) -> int:
+    """A seed config field: an integer in [0, 2**64)."""
+    return check_seed(_config_int(value, key), f"config key {key!r}")
+
+
 def _config_float(value: Any, key: str) -> float:
     """A real config field: an int or a finite float; None, bools and strings are rejected."""
     if type(value) is int and abs(value) <= sys.float_info.max:  # bool is a subclass of int
@@ -183,7 +194,7 @@ def _config_path(value: Any, key: str) -> str | None:
 
 
 # The reader of each spec key that is not a finite real.
-_SPEC_READERS = dict(universe=_config_int, seed=_config_int, index=_config_int, path=_config_str)
+_SPEC_READERS = dict(universe=_config_int, seed=_config_seed, index=_config_int, path=_config_str)
 
 # Each config key, with its ExperimentConfig field and its reader, in the
 # order the config reads them and to_dict writes them.  The first eight are required.
@@ -192,7 +203,7 @@ _CONFIG_FIELDS = {
     "n": ("n", _config_int),
     "m": ("m", _config_int),
     "trials": ("trials", _config_int),
-    "base_seed": ("base_seed", _config_int),
+    "base_seed": ("base_seed", _config_seed),
     "distribution": ("distribution", _config_spec),
     "hash": ("hash_spec", _config_spec),
     "bound": ("bound", _config_spec),
@@ -318,12 +329,12 @@ class ExperimentReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
+        # No field holds a comma, quote or newline: these are csv.writer's bytes.
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
+            fh.write(",".join(CSV_HEADER) + "\n")
             for rec in self.records:
                 rel = "" if rec.rel_error is None else repr(rec.rel_error)
-                writer.writerow([rec.trial, repr(rec.value), rel, int(rec.violation)])
+                fh.write(f"{rec.trial},{rec.value!r},{rel},{rec.violation:d}\n")
 
 
 def resolve_collision_bound(spec: Mapping[str, Any], n: int, m: int) -> DeviationBound:

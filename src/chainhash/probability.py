@@ -9,10 +9,11 @@ none), where ``cdf`` is the float64 ``cumsum`` of the weights.  Sequences
 are therefore reproducible bit-for-bit from (vector, seed, count).  The
 search for that index goes through a guide table (Chen & Asau 1974), which
 finds exactly the index the rule names; see :func:`sample_from_cdf`.  The
-sampler finds each draw's guide bucket from the top bits of its stream word
-and forms the double u only where that bucket holds a cdf step.  It also
-takes a block of seeds and draws one row per seed in a single call; each
-row holds exactly the draws its seed gives on its own.
+sampler takes each draw's guide bucket from the top bits of its stream word
+before the last xor-shift, which keeps them; the guide's sign marks the
+buckets that hold a cdf step, and only those draws form the double u.  It
+also takes a block of seeds and draws one row per seed in a single call;
+each row holds exactly the draws its seed gives on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ SUM_TOL = 1e-12
 # with 512, one draw in five of a 100-entry cdf reached the windowed search.
 _GUIDE_FINE_UP_TO = 2**16
 _GUIDE_MIN_BUCKETS = 2**13
-_GUIDE_MAX_BUCKETS = 2**20
+_GUIDE_MAX_BUCKETS = 2**20  # never above 2**31: see sample_from_cdf
 # Bucket edges searched per call while building (the fastest of 2**10..2**16
 # on a 2**20-entry Zipf cdf).
 _GUIDE_BLOCK = 2**12
@@ -243,21 +244,24 @@ def sample_from_cdf(
     unchanged and the search is elementwise.  Pass ``guide_table(cdf)`` (or
     :attr:`ProbabilityVector.guide`) when sampling the same cdf repeatedly;
     without it each call builds one.  With K = len(guide) - 1 = 2**k
-    buckets, the search finds that same index:
+    buckets starting at g_0 <= .. <= g_K, the search finds that same index:
 
     * u lies in bucket j = floor(u * K), so j/K <= u < (j+1)/K.  For the
       double of a stream word w, u = (w >> 11) * 2**-53, and with k <= 20,
       j is the top k bits of w: floor((w >> 11) * 2**(k-53)) = w >> (64 - k).
-      So j is taken from w, and u is formed only where guide[j] < guide[j+1].
+    * For the premixed word z, w = z ^ (z >> 31) with z >> 31 < 2**33, so w
+      keeps the top 31 bits of z and j = z >> (64 - k) too.  guide[j] is
+      ~g_j < 0 where g_j < g_{j+1}, else g_j; only the words with a negative
+      entry are finished into w and turned into u.
     * Rounded multiplication by cdf[-1] >= 0 and the clamped search are
-      both monotone, so guide[j] <= draw(u) <= guide[j+1].
-    * Where guide[j] == guide[j+1] that is the draw.  Elsewhere, with
-      t = u * cdf[-1], the draw is the first i in [guide[j], guide[j+1])
-      with t < cdf[i], or guide[j+1] if there is none.  One forward step
-      settles every draw whose answer is guide[j] (such as a window that
-      runs into a zero-weight tail).  For the others cdf[guide[j]] <= t,
-      and steps of halving powers of two move that index to the last one
-      below guide[j+1] with cdf <= t; the draw is the index after it.
+      both monotone, so g_j <= draw(u) <= g_{j+1}.
+    * Where g_j == g_{j+1} that is the draw.  Elsewhere, with
+      t = u * cdf[-1], the draw is the first i in [g_j, g_{j+1}) with
+      t < cdf[i], or g_{j+1} if there is none.  One forward step settles
+      every draw whose answer is g_j (such as a window that runs into a
+      zero-weight tail).  For the others cdf[g_j] <= t, and steps of
+      halving powers of two move that index to the last one below g_{j+1}
+      with cdf <= t; the draw is the index after it.
 
     The halving steps keep the cost logarithmic in the window where
     buckets span many cdf entries (U above the 2**20 bucket cap); a plain
@@ -266,7 +270,7 @@ def sample_from_cdf(
     """
     if guide is None:
         guide = guide_table(cdf)
-    words = rng.stream_uint64(seed, count)
+    words = rng.premixed(seed, count)
     return _guided_search(cdf, guide, words.ravel()).reshape(words.shape)
 
 
@@ -276,9 +280,10 @@ def guide_table(cdf: np.ndarray) -> np.ndarray:
     ``K`` is a power of two fixed by ``U = cdf.size``: 4 * 2**ceil(log2 U)
     up to U = 2**16 and 2**ceil(log2 U) above, but at least 2**13 and at
     most 2**20.  Entry j is ``min(searchsorted(cdf, (j/K) * cdf[-1], "right"), U - 1)``:
-    the draw of the uniform j/K.  Edges are searched a block at a time,
-    each block only in the cdf slice between its first and last answers:
-    the temporaries stay small and the searches stay in cache.
+    the draw of the uniform j/K, stored as ``~`` that (negative) where it is
+    below entry j + 1.  Edges are searched a block at a time, each block
+    only in the cdf slice between its first and last answers: the
+    temporaries stay small and the searches stay in cache.
     """
     size = cdf.size
     buckets = 1 << (size - 1).bit_length()
@@ -288,35 +293,38 @@ def guide_table(cdf: np.ndarray) -> np.ndarray:
     guide = np.empty(buckets + 1, dtype=np.int32)
     low = 0
     for start in range(0, buckets + 1, _GUIDE_BLOCK):
-        stop = min(start + _GUIDE_BLOCK, buckets + 1)
+        stop = min(start + _GUIDE_BLOCK + 1, buckets + 1)  # one edge over: marks the last bucket
         edges = np.arange(start, stop) / buckets * cdf[-1]
         high = low + int(np.searchsorted(cdf[low:], edges[-1], side="right"))
         found = np.searchsorted(cdf[low:high], edges, side="right")
         found += low
         np.minimum(found, size - 1, out=guide[start:stop])
+        head = guide[start : stop - 1]
+        np.invert(head, out=head, where=head < guide[start + 1 : stop])
         low = high
     return guide
 
 
 def _guided_search(cdf: np.ndarray, guide: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The draws of a flat array of stream words, as :func:`sample_from_cdf` sets out.
+    """The draws of a flat array of premixed words, as :func:`sample_from_cdf` sets out.
 
-    Only the words whose bucket holds a cdf step are turned into doubles;
+    Only the words whose bucket holds a cdf step are finished into doubles;
     they are gathered by index, and their results scattered back with ``put``.
     """
     k = (guide.size - 1).bit_length() - 1  # K = 2**k buckets
     bucket = np.right_shift(words, np.uint64(64 - k)).view(np.int64)
-    idx = guide.take(bucket).astype(np.int64)
-    end = guide[1:].take(bucket)
-    wide = np.flatnonzero(idx < end)
+    entry = guide.take(bucket)
+    wide = np.flatnonzero(entry < 0)
+    idx = entry.astype(np.int64)
     if not wide.size:
         return idx
-    last = idx.take(wide)
-    t = rng.unit_doubles(words.take(wide)) * cdf[-1]
-    ahead = np.flatnonzero(cdf.take(last) <= t)
+    draw = ~idx.take(wide)  # the bucket's start
+    t = rng.unit_doubles(rng.finish(words.take(wide))) * cdf[-1]
+    ahead = np.flatnonzero(cdf.take(draw) <= t)
     if ahead.size:
-        wide, last, t = wide.take(ahead), last.take(ahead), t.take(ahead)
-        stop = end.take(wide)
+        last, t = draw.take(ahead), t.take(ahead)
+        stop = guide.take(bucket.take(wide.take(ahead)) + 1).astype(np.int64)
+        np.maximum(stop, ~stop, out=stop)  # the next bucket's start, marked or not
         step = 1 << (int((stop - last).max()) - 1).bit_length()
         probe = np.empty_like(last)
         while step > 1:
@@ -327,5 +335,6 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, words: np.ndarray) -> np.
             # (possible only for a subnormal total).
             ok &= probe < stop
             np.copyto(last, probe, where=ok)
-        idx.put(wide, last + 1)
+        draw.put(ahead, last + 1)
+    idx.put(wide, draw)
     return idx

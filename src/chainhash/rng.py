@@ -18,6 +18,9 @@ trials).  Scrambling the seed first places every stream at an unrelated
 origin.
 
 Uniform doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
+The last step ``z ^= z >> 31`` keeps the top 31 bits, so the sampler reads
+:func:`premixed` words and applies :func:`finish` only to those it turns
+into doubles.
 
 The stream functions also take a 1-d sequence of seeds and return one row
 per seed.  A row is exactly the stream of its seed: computing many seeds in
@@ -62,9 +65,13 @@ def stream_uint64(seed, count: int, offset: int = 0) -> np.ndarray:
     generating its prefix.  ``seed`` is one integer (a 1-d result) or a 1-d
     sequence of them: row r of the ``(len(seed), count)`` result is then
     exactly the stream of ``seed[r]``, so drawing many seeds in one call
-    changes no output.  Streams longer than ``_CHUNK`` are computed that
-    many columns at a time, each chunk written into the result.
+    changes no output.  It is ``finish(premixed(seed, count, offset))``.
     """
+    return finish(premixed(seed, count, offset))
+
+
+def premixed(seed, count: int, offset: int = 0) -> np.ndarray:
+    """The words of :func:`stream_uint64` before its last step, ``z ^= z >> 31``."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     scalar = isinstance(seed, (int, np.integer))
@@ -73,17 +80,25 @@ def stream_uint64(seed, count: int, offset: int = 0) -> np.ndarray:
     origins = np.array([mix64(int(s)) for s in ([seed] if scalar else seed)], dtype=np.uint64)
     origins = origins[:, None]
     if count <= _CHUNK:
-        z = _outputs(origins, offset, count)
+        z = _premixed(origins, offset, count)
     else:
         z = np.empty((origins.size, count), dtype=np.uint64)
         for start in range(0, count, _CHUNK):
             stop = min(start + _CHUNK, count)
-            z[:, start:stop] = _outputs(origins, offset + start, stop - start)
+            z[:, start:stop] = _premixed(origins, offset + start, stop - start)
     return z[0] if scalar else z
 
 
-def _outputs(origins: np.ndarray, offset: int, count: int) -> np.ndarray:
-    """Outputs ``offset .. offset+count-1`` for a column of scrambled seeds.
+def finish(z: np.ndarray) -> np.ndarray:
+    """The finalizer's last step, ``z ^= z >> 31``, in place; returns ``z``."""
+    for start in range(0, z.shape[-1], _CHUNK):  # a chunk's temporary stays in cache
+        part = z[..., start : start + _CHUNK]
+        part ^= part >> _S31
+    return z
+
+
+def _premixed(origins: np.ndarray, offset: int, count: int) -> np.ndarray:
+    """Premixed words ``offset .. offset+count-1`` for a column of scrambled seeds.
 
     The lattice ``(i+1)*GOLDEN`` is computed once and the column is added to
     it.  The finalizer runs in place with one scratch array, so one seed
@@ -98,7 +113,6 @@ def _outputs(origins: np.ndarray, offset: int, count: int) -> np.ndarray:
     z *= _M1_64
     z ^= np.right_shift(z, _S27, out=shifted)
     z *= _M2_64
-    z ^= np.right_shift(z, _S31, out=shifted)
     return z
 
 

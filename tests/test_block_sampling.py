@@ -86,7 +86,7 @@ def test_rows_with_step_buckets_equal_single_trial_draws(monkeypatch):
     words = rng.stream_uint64([rng.trial_seed(base_seed, t) for t in range(trials)], m)
     bucket = (words >> np.uint64(64 - 20)).astype(np.int64)
     assert q.guide.size == 2**20 + 1
-    assert np.all((q.guide[bucket] < q.guide[bucket + 1]).sum(axis=1) > m // 10)
+    assert np.all((q.guide[bucket] < 0).sum(axis=1) > m // 10)
     expected = alone(q, m, trials, base_seed)
     assert len(seen) == trials
     assert all(np.array_equal(a, b) for a, b in zip(seen, expected))

@@ -22,12 +22,16 @@ class StreamDrawn(Exception):
 
 @pytest.fixture
 def no_stream(monkeypatch):
-    """Every stream call (and so every sampling call) raises StreamDrawn with its count."""
+    """Every stream call (and so every sampling call) raises StreamDrawn with its count.
+
+    ``rng.premixed`` is the one stream primitive: ``stream_uint64`` and the
+    sampler both call it.
+    """
 
     def spy(seed, count, offset=0):
         raise StreamDrawn(count)
 
-    monkeypatch.setattr(rng, "stream_uint64", spy)
+    monkeypatch.setattr(rng, "premixed", spy)
 
 
 class TestFormatting:
@@ -437,6 +441,59 @@ class TestWorkedExamples:
         data = json.loads(out)
         assert abs(data["value"] - 22136.943621178655) < 1e-6
         assert abs(data["confidence"] - 0.8175888919468916) < 1e-12
+
+
+_SEED_CONFIG = {
+    "kind": "collision", "n": 16, "m": 100, "trials": 3, "base_seed": 1,
+    "distribution": {"name": "uniform"}, "hash": {"mode": "random-table", "universe": 64},
+    "bound": {"name": "load-factor", "epsilon": 0.3},
+}
+
+
+@pytest.mark.parametrize("seed", [2**64, -(2**64), -1])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["estimate", "--n", "16", "--m", "100"], "--seed"),
+        (["estimate", "--n", "16", "--m", "100", "--hash", "random-table", "--universe", "64"],
+         "--table-seed"),
+        (["perturbation-check", "--n", "16", "--m", "10", "--trials", "2"], "--seed"),
+        (["perturbation-check", "--n", "16", "--m", "10", "--trials", "2", "--universe", "64"],
+         "--table-seed"),
+        (["experiment"], "--seed"),
+    ],
+)
+def test_seed_flag_outside_64_bits_is_domain_error(capsys, tmp_path, no_stream, argv, flag, seed):
+    # Reduced mod 2**64 such a seed would run as another one (2**64 as 0).
+    if argv == ["experiment"]:
+        (tmp_path / "cfg.json").write_text(json.dumps(_SEED_CONFIG))
+        argv = ["experiment", "--config", str(tmp_path / "cfg.json")]
+    code, out, err = run(capsys, *argv, f"{flag}={seed}")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must lie in [0, 2**64), got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+@pytest.mark.parametrize("where", ["base_seed", "hash"])
+def test_config_seed_outside_64_bits_is_domain_error(capsys, tmp_path, no_stream, where, seed):
+    cfg = json.loads(json.dumps(_SEED_CONFIG))
+    if where == "hash":
+        cfg["hash"]["seed"] = seed
+    else:
+        cfg["base_seed"] = seed
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "experiment", "--config", str(tmp_path / "cfg.json"))
+    assert (code, out) == (1, "")
+    key = "seed" if where == "hash" else "base_seed"
+    assert err == f"error: config key {key!r} must lie in [0, 2**64), got {seed}\n"
+
+
+def test_seeds_at_the_ends_of_the_range_are_taken():
+    for seed in (0, 2**64 - 1):
+        cfg = experiments.ExperimentConfig.from_dict({**_SEED_CONFIG, "base_seed": seed})
+        assert cfg.base_seed == seed
+        h = experiments.hash_from_spec({"mode": "random-table", "universe": 64, "seed": seed}, 16)
+        assert h.universe == 64
 
 
 class TestExperimentCommand:

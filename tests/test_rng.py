@@ -9,9 +9,13 @@ from chainhash import rng
 MASK = (1 << 64) - 1
 
 
-def _finalize(z):
+def _premix(z):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+
+
+def _finalize(z):
+    z = _premix(z)
     return z ^ (z >> 31)
 
 
@@ -115,3 +119,21 @@ def test_chunked_and_single_pass_streams_agree():
     chunked = rng.stream_uint64(9, edge + 1, offset=11)
     assert np.array_equal(chunked[:edge], one_pass)
     assert np.array_equal(rng.stream_uint64(9, 1, offset=11 + edge), chunked[edge:])
+
+
+@pytest.mark.parametrize("seed", [3, [0, 3, MASK]])
+@pytest.mark.parametrize("offset", [0, 7, 2**40 + 1])
+@pytest.mark.parametrize("count", [5, rng._CHUNK - 1, rng._CHUNK, rng._CHUNK + 1, 2 * rng._CHUNK + 3])
+def test_finished_premixed_words_are_the_stream(seed, offset, count):
+    words = rng.premixed(seed, count, offset)
+    stream = rng.stream_uint64(seed, count, offset)
+    assert words.shape == stream.shape and words.dtype == np.uint64
+    for r, s in enumerate([seed] if isinstance(seed, int) else seed):
+        origin = _finalize(s & MASK)
+        for i in (0, count // 2, count - 1):
+            expected = _premix((origin + (offset + i + 1) * 0x9E3779B97F4A7C15) & MASK)
+            assert int(words.reshape(-1, count)[r, i]) == expected
+    # The last step keeps the top 31 bits, where the sampler reads its buckets.
+    assert np.array_equal(words >> np.uint64(33), stream >> np.uint64(33))
+    assert rng.finish(words) is words
+    assert np.array_equal(words, stream)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainhash import rng
+from chainhash import probability, rng
 from chainhash.probability import (
     ProbabilityVector,
     guide_table,
@@ -38,8 +38,13 @@ def doubles_of(words):
 
 
 def word_draws(cdf, guide, words):
-    """``sample_from_cdf`` on a stream that yields ``words``."""
-    with mock.patch.object(rng, "stream_uint64", lambda seed, count: words):
+    """``sample_from_cdf`` on a stream that yields ``words``.
+
+    The sampler reads premixed words, so the patch yields the premixed word
+    of each: ``w ^ (w >> 31) ^ (w >> 62)`` inverts ``rng.finish``.
+    """
+    premixed = words ^ (words >> np.uint64(31)) ^ (words >> np.uint64(62))
+    with mock.patch.object(rng, "premixed", lambda seed, count: premixed):
         return sample_from_cdf(cdf, 0, words.size, guide)
 
 
@@ -180,7 +185,16 @@ def test_guide_size(size, buckets):
     guide = guide_table(np.linspace(1.0 / size, 1.0, size))
     assert guide.dtype == np.int32 and guide.size == buckets + 1
     assert guide.nbytes <= 4 * 2**20 + 4
-    assert guide[0] >= 0 and guide[-1] == size - 1 and np.all(np.diff(guide) >= 0)
+    starts = np.where(guide < 0, ~guide, guide)
+    assert starts[0] >= 0 and guide[-1] == size - 1 and np.all(np.diff(starts) >= 0)
+    # The sign marks exactly the buckets that hold a cdf step.
+    assert np.array_equal(guide[:-1] < 0, starts[:-1] < starts[1:])
+
+
+def test_buckets_fit_in_the_top_31_bits():
+    # The sampler takes a word's bucket, its top k bits, before the stream's
+    # last step z ^= z >> 31, which keeps only the top 31 bits: k <= 31.
+    assert probability._GUIDE_MAX_BUCKETS <= 2**31
 
 
 weights_with_zeros = st.lists(
