@@ -39,7 +39,8 @@ class CollisionEstimate:
 def collision_pairs(k: SlotCounts) -> int:
     """Number of colliding key pairs: sum_i C(k_i, 2), as an exact integer."""
     c = k.counts
-    return int(np.dot(c, c - 1)) // 2
+    # sum k(k-1) = sum k^2 - m; exact in int64: sum k^2 <= m^2 <= 2**48 under the 2**24 key cap.
+    return (int(np.dot(c, c)) - k.m) // 2
 
 
 def empirical_collision_probability(k: SlotCounts) -> CollisionEstimate:

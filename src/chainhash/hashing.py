@@ -4,7 +4,8 @@ A :class:`HashModel` is a fixed map from a finite key universe {0..U-1}
 onto slots {0..n-1}.  Two modes cover everything the analysis needs:
 ``identity`` (U = n, so experiments can parametrize directly by the slot
 distribution) and ``fixed-table`` (an explicit U-entry lookup table for
-genuine many-to-one hashing).
+genuine many-to-one hashing).  Where U <= 8m, :func:`distinct_counts` and the
+identity hash's :func:`count_slots` share a sequence's one key histogram.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ from .probability import KeySequence, ProbabilityVector, _check_integer, _read_o
 
 # Guardrail against accidental huge allocations; both U and n must stay under it.
 MAX_SIZE = 2**24
-
-# distinct_counts finds the distinct keys with a bincount over the universe
-# when U <= this many times the key count, and with np.unique otherwise.
-# On 10**3..10**5 random keys the bincount was the faster up to U between 32
-# and 64 times the key count; at 8 times it was 3.5-7x faster, and its count
-# array stays within 8 entries per key.
-_BINCOUNT_UNIVERSE_PER_KEY = 8
 
 
 def _check_size(value: int, what: str) -> int:
@@ -192,8 +186,10 @@ def slot_probabilities(q: ProbabilityVector, h: HashModel) -> ProbabilityVector:
 def count_slots(x: KeySequence, h: HashModel) -> SlotCounts:
     """k_i = number of keys of x (with multiplicity) hashing to slot i."""
     _check_keys(x, h)
-    slots = h.slots_of(x._owner)
-    return SlotCounts(np.bincount(slots, minlength=h.slots))
+    counts = x._key_histogram() if h.table is None and x.universe == h.universe else None
+    if counts is None:
+        counts = np.bincount(h.slots_of(x._owner), minlength=h.slots)
+    return SlotCounts(counts)
 
 
 def block_slot_counts(keys: np.ndarray, h: HashModel) -> np.ndarray:
@@ -210,9 +206,7 @@ def distinct_counts(x: KeySequence, h: HashModel) -> SlotCounts:
     key land on the same stored entry.
     """
     _check_keys(x, h)
-    if x.universe <= _BINCOUNT_UNIVERSE_PER_KEY * len(x):
-        uniq = np.flatnonzero(np.bincount(x._owner, minlength=x.universe))
-    else:
-        uniq = np.unique(x.keys)
+    hist = x._key_histogram()
+    uniq = np.unique(x.keys) if hist is None else np.flatnonzero(hist)
     slots = h.slots_of(uniq)
     return SlotCounts(np.bincount(slots, minlength=h.slots))

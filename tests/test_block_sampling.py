@@ -175,6 +175,29 @@ def test_collision_counts_stay_small_when_n_exceeds_m(monkeypatch):
     assert (report.aggregates, report.records) == (alone.aggregates, alone.records)
 
 
+
+@pytest.mark.parametrize("n, m, hash_spec", [
+    (2**12, 2**16, {"mode": "identity"}),
+    (64, 2**11, {"mode": "random-table", "universe": 2**14, "seed": 1}),
+])
+def test_ast_key_histograms_do_not_pile_up(n, m, hash_spec):
+    # U <= 8m, so every row's key sequence builds a histogram (32 and 128 KiB
+    # here).  It lives as long as its sequence: 64 rows of them kept would add
+    # 2 and 8 MiB to a peak of about 3.2 and 3.6 MiB.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    cfg = ExperimentConfig.from_dict({
+        **CONFIGS["ast"], "n": n, "m": m, "trials": 64, "hash": hash_spec,
+    })
+    experiments.run_ast_trials(cfg)  # warm-up: one-off first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        experiments.run_ast_trials(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20, peak
+
+
 seeds = st.integers(0, 2**64 - 1)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chainhash.estimator import (
@@ -23,6 +25,19 @@ class TestCollisionPairs:
     def test_exact_at_scale(self):
         # 10**4 keys in one slot: C(10**4, 2) pairs, exactly.
         assert collision_pairs(SlotCounts([10**4])) == 10**4 * (10**4 - 1) // 2
+
+    # collision_pairs takes sum k^2 - m, which equals sum k(k-1).
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 8), min_size=1, max_size=12))
+    @example(counts=[0, 0, 0])
+    @example(counts=[0])
+    @example(counts=[5])
+    @example(counts=[2])
+    @example(counts=[1, 0, 1])
+    def test_equals_brute_force(self, counts):
+        n = len(counts)
+        x = KeySequence(np.repeat(np.arange(n), counts), n)
+        assert collision_pairs(SlotCounts(counts)) == brute_force_collision_pairs(x, HashModel.identity(n))
 
 
 class TestEmpiricalCollisionProbability:

@@ -303,6 +303,55 @@ BLOCK_HASHES = {
 }
 
 
+class TestSharedKeyHistogram:
+    """Differential gate: count_slots and distinct_counts read one key histogram
+    per sequence where U <= 8m, and agree with the plain bincount and np.unique routes."""
+
+    @staticmethod
+    def spy_bincount(monkeypatch):
+        calls = []
+        bincount = np.bincount
+
+        def spy(arr, *args, **kwargs):
+            calls.append((arr, kwargs.get("minlength")))
+            return bincount(arr, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_HASHES))
+    @pytest.mark.parametrize("offset", [-1, 0, 1])  # x.universe against h.universe
+    @pytest.mark.parametrize("side", ["within", "above"])  # U against 8m
+    def test_routes_agree(self, tmp_path, monkeypatch, name, offset, side):
+        h = BLOCK_HASHES[name](tmp_path)
+        universe = h.universe + offset
+        m = -(-universe // 8) if side == "within" else (universe - 1) // 8
+        keys = np.random.default_rng(universe + m).integers(0, min(universe, h.universe), m)
+        x = KeySequence(keys, universe)
+        calls = self.spy_bincount(monkeypatch)
+        for _ in range(2):
+            k, d = count_slots(x, h), distinct_counts(x, h)
+            assert np.array_equal(k.counts, np.bincount(h.slots_of(keys), minlength=h.slots))
+            assert np.array_equal(d.counts, np.bincount(h.slots_of(np.unique(keys)), minlength=h.slots))
+        builds = sum(arr is x._owner and minlength == universe for arr, minlength in calls)
+        if side == "within":
+            assert universe <= 8 * m and builds == 1
+            hist = x._key_histogram()
+            assert not hist.flags.writeable and np.array_equal(hist, np.bincount(keys, minlength=universe))
+            with pytest.raises(ValueError, match="read-only"):
+                hist[0] = 1
+            assert not np.shares_memory(hist, k.counts)  # SlotCounts keeps its own copy
+        else:
+            assert universe > 8 * m and x._key_histogram() is None and x._histogram is None
+
+    def test_out_of_range_keys_rejected_after_the_histogram(self):
+        x = KeySequence([20, 1, 2, 3], 32)
+        assert x._key_histogram() is not None
+        for count in (count_slots, distinct_counts):
+            with pytest.raises(ValueError, match="outside the hash universe"):
+                count(x, HashModel.identity(16))
+
+
 class TestBlockSlotCounts:
     """Differential gate: each row of block_slot_counts is count_slots of that row."""
 

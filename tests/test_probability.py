@@ -167,6 +167,26 @@ class TestKeySequence:
     def test_empty_allowed(self):
         assert len(KeySequence([], 4)) == 0
 
+    # The range is checked in one reduction over the keys as uint64, where a
+    # negative int64 wraps above 2**63; float keys are checked before their cast.
+    @pytest.mark.parametrize(
+        "keys",
+        [[-1], [-(2**63)], [10], [2**63 - 1], np.array([2**64 - 1], dtype=np.uint64), [-1.0], [1e300],
+         [0, 3, -2], [9, 10]],
+    )
+    def test_range_boundaries_rejected(self, keys):
+        with pytest.raises(ValueError, match="^key index out of range for universe size 10$"):
+            KeySequence(keys, 10)
+
+    @pytest.mark.parametrize("keys", [[0], [9], [9, 0, 9], np.array([9], dtype=np.uint64), [9.0], []])
+    def test_range_boundaries_accepted(self, keys):
+        assert KeySequence(keys, 10).keys.tolist() == [int(key) for key in keys]
+
+    def test_negative_keys_rejected_under_a_universe_beyond_int64(self):
+        with pytest.raises(ValueError, match="out of range"):
+            KeySequence([-1], 2**70)
+        assert KeySequence([2**63 - 1], 2**70).keys.tolist() == [2**63 - 1]
+
     @pytest.mark.parametrize(
         "keys", [[1.7, 2.9], [0.0, 0.99], np.array([0.0, np.nan]), np.array([False, True])]
     )
