@@ -3,9 +3,9 @@
 Every trial is a pure function of (config, trial index): trial t draws its
 keys with the stream seed ``base_seed XOR (t * GOLDEN)``, so runs are
 reproducible, trials could be executed in any order, and re-running a
-single index reproduces its record.  Reports carry per-trial records (all
-of them up to a cap, the first ones beyond it) plus streaming aggregates
-that never depend on the cap.
+single index reproduces its record.  Reports carry per-trial rows (all of
+them up to a cap, the first ones beyond it; records are built from them on
+first read) plus streaming aggregates that never depend on the cap.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any, Mapping
 
 from . import hashing, rng, search_time
@@ -260,7 +261,7 @@ class ExperimentConfig:
         return {key: dict(v) if isinstance(v, Mapping) else v for key, v in values.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One Monte Carlo draw: its measured value and its violation verdict."""
 
@@ -296,7 +297,7 @@ class _Welford:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-trial records plus aggregates for one run.
+    """The kept trials' (value, aux, violation) rows plus aggregates for one run.
 
     ``aggregates`` is a plain dict recomputable from the full trial stream;
     its canonical serialization (:meth:`aggregates_json`) is byte-identical
@@ -306,8 +307,15 @@ class ExperimentReport:
     config: ExperimentConfig
     bound: dict[str, Any]
     aggregates: dict[str, Any]
-    records: tuple[TrialRecord, ...]
+    rows: list[tuple[float, float, bool]]
+    aux_field: str
     duration_seconds: float
+
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        """The kept trials' records, built on first read, with the aux figure in ``aux_field``."""
+        aux = self.aux_field
+        return tuple(TrialRecord(t, v, bad, **{aux: a}) for t, (v, a, bad) in enumerate(self.rows))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -332,9 +340,11 @@ class ExperimentReport:
         # No field holds a comma, quote or newline: these are csv.writer's bytes.
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            for rec in self.records:
-                rel = "" if rec.rel_error is None else repr(rec.rel_error)
-                fh.write(f"{rec.trial},{rec.value!r},{rel},{rec.violation:d}\n")
+            if self.aux_field == "rel_error":
+                rows = ["%d,%r,%r,%d\n" % (t, *row) for t, row in enumerate(self.rows)]
+            else:
+                rows = ["%d,%r,,%d\n" % (t, v, bad) for t, (v, _, bad) in enumerate(self.rows)]
+            fh.write("".join(rows))
 
 
 def resolve_collision_bound(spec: Mapping[str, Any], n: int, m: int) -> DeviationBound:
@@ -352,32 +362,32 @@ def resolve_ast_bound(
 
 
 def _run_trials(
-    q: ProbabilityVector, m: int, trials: int, base_seed: int, measure, kept: int, aux_field: str
+    q: ProbabilityVector, m: int, trials: int, base_seed: int, measure, kept: int, aux_mean=False
 ):
-    """Draw and measure every trial; returns (value stats, aux stats, violations, records).
+    """Draw and measure every trial; returns (value stats, aux stats, violations, rows).
 
     Trial t samples m keys from ``q`` with the seed ``trial_seed(base_seed, t)``.
     Consecutive trials are sampled a block at a time (see ``_BLOCK_DRAWS``),
     one key row per trial, and ``measure`` takes the block and yields each
-    row's (value, aux, violation) in trial order.  The first ``kept`` trials
-    leave a record with the aux figure in its field ``aux_field``.
+    row's (value, aux, violation) in trial order; ``rows`` lists those of the
+    first ``kept`` trials.  The aux stats are None unless ``aux_mean`` is set.
     """
     cdf, guide = q.cdf, q.guide
     block = max(1, _BLOCK_DRAWS // m)
-    stats, aux_stats = _Welford(), _Welford()
-    violations = 0
-    records = []
+    stats, aux_stats = _Welford(), _Welford() if aux_mean else None
+    violations, rows = 0, []
     for start in range(0, trials, block):
         seeds = [rng.trial_seed(base_seed, t) for t in range(start, min(start + block, trials))]
         # `keys` holds each block until the next is drawn: freeing it first churns the heap.
         keys = sample_from_cdf(cdf, seeds, m, guide)
-        for t, (value, aux, violation) in enumerate(measure(keys), start):
+        measured = list(measure(keys))
+        for value, aux, violation in measured:
             violations += violation
             stats.add(value)
-            aux_stats.add(aux)
-            if t < kept:
-                records.append(TrialRecord(t, value, violation, **{aux_field: aux}))
-    return stats, aux_stats, violations, tuple(records)
+            if aux_stats is not None:
+                aux_stats.add(aux)
+        rows += measured[: max(0, kept - start)]
+    return stats, aux_stats, violations, rows
 
 
 def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -408,9 +418,7 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
                 yield est.empirical_cp, rel, rel > bound.error_bound
 
     kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
-    stats, _, violations, records = _run_trials(
-        q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "rel_error"
-    )
+    stats, _, violations, rows = _run_trials(q, cfg.m, cfg.trials, cfg.base_seed, measure, kept)
     aggregates = {
         "trials": cfg.trials,
         "mean": stats.mean,
@@ -423,7 +431,7 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
         config=cfg,
         bound={"kind": "deviation", **asdict(bound)},
         aggregates=aggregates,
-        records=records,
+        rows=rows, aux_field="rel_error",
         duration_seconds=time.perf_counter() - start,
     )
 
@@ -454,8 +462,8 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
             yield upper, search_time.average_search_time(v, x, h), upper > bound.value
 
     kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
-    upper_stats, exact_stats, violations, records = _run_trials(
-        q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, "ast_exact"
+    upper_stats, exact_stats, violations, rows = _run_trials(
+        q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, aux_mean=True
     )
     aggregates = {
         "trials": cfg.trials,
@@ -469,7 +477,7 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
         config=cfg,
         bound={"kind": "search-time", **asdict(bound)},
         aggregates=aggregates,
-        records=records,
+        rows=rows, aux_field="ast_exact",
         duration_seconds=time.perf_counter() - start,
     )
 

@@ -142,6 +142,8 @@ class SlotCounts:
             raise ValueError("counts must be a nonempty 1-d sequence")
         if arr.dtype != np.int64:  # bincount's counts skip the check
             check_integral(arr, "counts")
+            if arr.dtype.kind == "f" and not 0 <= float(arr.min()) <= float(arr.max()) < 2**63:
+                raise ValueError("counts must lie in [0, 2**63)")  # 1e300 has no int64 value
             arr = arr.astype(np.int64)
         if int(arr.min()) < 0:
             raise ValueError("counts must be nonnegative")

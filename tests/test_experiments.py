@@ -2,16 +2,19 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chainhash import experiments, rng
+from chainhash import experiments, rng, search_time
 from chainhash.estimator import empirical_collision_probability, relative_error
 from chainhash.experiments import (
+    CSV_HEADER,
     ExperimentConfig,
     PerturbationCheck,
+    TrialRecord,
     distribution_from_spec,
     hash_from_spec,
     resolve_ast_bound,
@@ -423,6 +426,108 @@ class TestReportOutput:
             rows = list(csv.reader(fh))
         assert rows[0] == ["trial", "value", "rel_error", "violation"]
         assert all(row[2] == "" for row in rows[1:])
+
+
+def eager_records(cfg, kept):
+    """The first ``kept`` records as built one trial at a time, from (config, t) alone."""
+    h = hash_from_spec(cfg.hash_spec, cfg.n)
+    q = distribution_from_spec(cfg.distribution, h.universe)
+    if cfg.kind == "collision":
+        p_norm_sq = norm_sq(slot_probabilities(q, h))
+        ceiling = resolve_collision_bound(cfg.bound, cfg.n, cfg.m).error_bound
+    else:
+        v = distribution_from_spec(cfg.access_pattern, h.slots)
+        p_norm = math.sqrt(norm_sq(slot_probabilities(q, h)))
+        bound = resolve_ast_bound(cfg.bound, cfg.m / h.slots, h.slots, math.sqrt(norm_sq(v)), p_norm)
+    records = []
+    for t in range(kept):
+        x = KeySequence(sample_from_cdf(q.cdf, rng.trial_seed(cfg.base_seed, t), cfg.m), len(q))
+        if cfg.kind == "collision":
+            est = empirical_collision_probability(count_slots(x, h))
+            rel = relative_error(est, p_norm_sq)
+            records.append(TrialRecord(t, est.empirical_cp, rel > ceiling, rel_error=rel))
+        else:
+            upper = search_time.search_time_upper(v, count_slots(x, h))
+            exact = search_time.average_search_time(v, x, h)
+            records.append(TrialRecord(t, upper, upper > bound.value, ast_exact=exact))
+    return tuple(records)
+
+
+def per_record_csv(records):
+    """The CSV as written one record at a time with an f-string."""
+    lines = [",".join(CSV_HEADER) + "\n"]
+    for rec in records:
+        rel = "" if rec.rel_error is None else repr(rec.rel_error)
+        lines.append(f"{rec.trial},{rec.value!r},{rel},{rec.violation:d}\n")
+    return "".join(lines).encode()
+
+
+# name -> (config, record cap, records kept past it, records kept)
+LAZY_RUNS = {
+    "collision": (collision_config(trials=50), 10**6, 10**4, 50),
+    "ast": (ast_config(trials=41), 10**6, 10**4, 41),
+    # Blocks of 102 trials at m = 640: the kept trials end inside the second block.
+    "capped": (collision_config(trials=300), 100, 130, 130),
+}
+
+
+class TestLazyRecords:
+    """Reports keep each kept trial's row and build its record only when read."""
+
+    @pytest.fixture(params=sorted(LAZY_RUNS))
+    def run(self, request, monkeypatch, tmp_path):
+        cfg, cap, capped, kept = LAZY_RUNS[request.param]
+        monkeypatch.setattr(experiments, "RECORD_CAP", cap)
+        monkeypatch.setattr(experiments, "CAPPED_RECORDS", capped)
+        path = tmp_path / "trials.csv"
+        report = run_experiment(dataclasses.replace(cfg, csv_path=str(path)))
+        return report, eager_records(cfg, kept), path.read_bytes()
+
+    def test_a_run_writing_its_outputs_builds_no_record(self, monkeypatch, tmp_path):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args[0])
+            return TrialRecord(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "TrialRecord", spy)
+        cfg = collision_config(output=str(tmp_path / "r.json"), csv=str(tmp_path / "r.csv"))
+        report = run_experiment(cfg)
+        assert built == [] and (tmp_path / "r.json").exists() and (tmp_path / "r.csv").exists()
+        assert [rec.trial for rec in report.records] == built == list(range(cfg.trials))
+
+    def test_records_are_built_once(self, run):
+        report, _, _ = run
+        assert report.records is report.records
+
+    def test_records_equal_the_eagerly_built_ones(self, run):
+        report, eager, _ = run
+        assert report.records == eager
+        assert repr(report.records) == repr(eager)
+
+    def test_csv_equals_the_per_record_output(self, run):
+        _, eager, csv_bytes = run
+        assert csv_bytes == per_record_csv(eager)
+
+    def test_rows_hold_python_scalars(self, run):
+        # A numpy scalar's repr would change the CSV bytes.
+        report, eager, _ = run
+        assert len(report.rows) == len(eager)
+        for value, aux, violation in report.rows:
+            assert (type(value), type(aux), type(violation)) == (float, float, bool)
+
+    def test_reading_records_keeps_the_peak_below_eager_records(self):
+        # 2 * 10**4 trials of the mc-uniform-short shape, then one read of the
+        # records.  Eager frozen records (with a __dict__ each) peaked at 6.05 MiB.
+        cfg = collision_config(m=1024, trials=2 * 10**4, base_seed=108)
+        tracemalloc.start()
+        try:
+            report = run_collision_trials(cfg)
+            assert len(report.records) == cfg.trials
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 2**20, peak
 
 
 class TestReservoir:

@@ -230,6 +230,17 @@ class TestSlotCounts:
         k = SlotCounts(np.array([2.0, 0.0, 1.0]))
         assert k.counts.dtype == np.int64 and k.counts.tolist() == [2, 0, 1] and k.m == 3
 
+    @pytest.mark.parametrize("bad", [1e300, -1e300, 2.0**63, -(2.0**63), -1.0])
+    def test_float_counts_outside_int64_rejected(self, bad):
+        # Checked before the int64 cast: 1e300 has no int64 value and would warn there.
+        with pytest.raises(ValueError, match=r"counts must lie in \[0, 2\*\*63\)"):
+            SlotCounts(np.array([bad, 2.0]))
+
+    def test_largest_float_below_2_63_accepted(self):
+        top = np.nextafter(2.0**63, 0.0)
+        k = SlotCounts(np.array([top, 0.0]))
+        assert k.counts.tolist() == [2**63 - 1024, 0] and k.m == 2**63 - 1024
+
     def test_empty_sequence_gives_zero_counts(self):
         k = count_slots(KeySequence([], 4), HashModel.identity(4))
         assert k.m == 0 and np.all(k.counts == 0)
@@ -379,7 +390,7 @@ class TestBlockSlotCounts:
             blocks.append(block_slot_counts(keys, h))
             return [(0.0, 0.0, False)] * len(keys)
 
-        experiments._run_trials(q, m, trials, base_seed, measure, 0, "rel_error")
+        experiments._run_trials(q, m, trials, base_seed, measure, 0)
         assert [len(b) for b in blocks] == [3, 3, 1]
         for t, k in enumerate(np.concatenate(blocks)):
             keys = sample_from_cdf(q.cdf, rng.trial_seed(base_seed, t), m)
