@@ -410,10 +410,11 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
     rows = max(1, _BLOCK_DRAWS // h.slots)
 
     def measure(keys):
-        # The per-row public calls stay: a traced benchmark run replays their values.
+        # Each count block is checked and copied once (SlotCounts.rows), but the
+        # per-row estimator calls stay: a traced benchmark run replays their values.
         for i in range(0, len(keys), rows):
-            for k in hashing.block_slot_counts(keys[i : i + rows], h):
-                est = empirical_collision_probability(hashing.SlotCounts(k))
+            for k in hashing.SlotCounts.rows(hashing.block_slot_counts(keys[i : i + rows], h)):
+                est = empirical_collision_probability(k)
                 rel = relative_error(est, p_norm_sq)
                 yield est.empirical_cp, rel, rel > bound.error_bound
 

@@ -142,15 +142,30 @@ class SlotCounts:
             raise ValueError("counts must be a nonempty 1-d sequence")
         if arr.dtype != np.int64:  # bincount's counts skip the check
             check_integral(arr, "counts")
-            if arr.dtype.kind == "f" and not 0 <= float(arr.min()) <= float(arr.max()) < 2**63:
-                raise ValueError("counts must lie in [0, 2**63)")  # 1e300 has no int64 value
+            # 1e300 and uint64 2**63 have no int64 value: the cast would warn or wrap.
+            if arr.dtype.kind in "fu" and not 0 <= arr.min() <= arr.max() < 2**63:
+                raise ValueError("counts must lie in [0, 2**63)")
             arr = arr.astype(np.int64)
-        if int(arr.min()) < 0:
-            raise ValueError("counts must be nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self._counts = arr
-        self._m = int(arr.sum())
+        self._m = int(_count_totals(arr))
+        self._counts = arr.copy()
+        self._counts.flags.writeable = False
+
+    @classmethod
+    def rows(cls, block: np.ndarray) -> list["SlotCounts"]:
+        """``[SlotCounts(row) for row in block]`` for a 2-d int64 count block, which
+        is checked, copied and summed once: the rows are views of one read-only copy."""
+        is_block = isinstance(block, np.ndarray) and block.dtype == np.int64 and block.ndim == 2
+        if not is_block or not block.shape[1]:
+            raise ValueError("a count block must be a 2-d int64 array with at least one slot")
+        totals = _count_totals(block).tolist()
+        block = block.copy()
+        block.flags.writeable = False  # and so are its row views
+        rows = []
+        for counts, m in zip(block, totals):
+            k = cls.__new__(cls)
+            k._counts, k._m = counts, m
+            rows.append(k)
+        return rows
 
     @property
     def counts(self) -> np.ndarray:
@@ -165,6 +180,19 @@ class SlotCounts:
 
     def __repr__(self) -> str:
         return f"SlotCounts(n={len(self)}, m={self._m})"
+
+
+def _count_totals(counts: np.ndarray):
+    """The totals along the last axis of int64 counts whose entries and totals lie in [0, 2**63)."""
+    top = int(counts.view(np.uint64).max(initial=0))  # a negative entry reads as 2**63 or more
+    if top >= 2**63:
+        raise ValueError("counts must be nonnegative")
+    if top <= (2**63 - 1) // counts.shape[-1]:  # no total can wrap
+        return counts.sum(axis=-1)
+    totals = counts.sum(axis=-1, dtype=object)  # exact Python integers
+    if np.max(totals) >= 2**63:
+        raise ValueError("count totals must lie in [0, 2**63)")
+    return totals
 
 
 def _check_keys(x: KeySequence, h: HashModel) -> None:

@@ -24,7 +24,7 @@ from chainhash.experiments import (
     run_experiment,
     slot_count_perturbation,
 )
-from chainhash.hashing import HashModel, count_slots, slot_probabilities
+from chainhash.hashing import HashModel, SlotCounts, count_slots, slot_probabilities
 from chainhash.probability import (
     KeySequence,
     ProbabilityVector,
@@ -369,6 +369,35 @@ class TestCollisionTrials:
     def test_bound_preconditions_fail_before_trials(self):
         with pytest.raises(ValueError):
             run_collision_trials(collision_config(bound={"name": "load-factor", "epsilon": 0.05}))
+
+    def test_count_blocks_are_checked_once_each(self, monkeypatch):
+        # Sampler blocks of 8 trials over 21 trials (the last holds 5), and a row
+        # cap of 320 // 128 = 2 that splits each into count blocks of 2 (the last of 1).
+        monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 8 * 40)
+        inits, blocks = [], []
+        init, rows = SlotCounts.__init__, SlotCounts.rows.__func__
+
+        def spy_init(self, counts):
+            inits.append(counts)
+            init(self, counts)
+
+        def spy_rows(cls, block):
+            blocks.append(block.shape)
+            return rows(cls, block)
+
+        monkeypatch.setattr(SlotCounts, "__init__", spy_init)
+        monkeypatch.setattr(SlotCounts, "rows", classmethod(spy_rows))
+        bound = {"name": "polynomial", "beta": 1.0, "lambda": 1.0}
+        cfg = collision_config(n=128, m=40, trials=21, bound=bound)
+        report = run_collision_trials(cfg)
+        assert inits == []
+        assert blocks == [(2, 128)] * 10 + [(1, 128)]
+        monkeypatch.undo()
+        q, h = make_uniform(cfg.n), HashModel.identity(cfg.n)
+        for t in (0, 1, 2, 7, 8, 15, 16, 19, 20):
+            keys = sample_from_cdf(q.cdf, rng.trial_seed(cfg.base_seed, t), cfg.m)
+            est = empirical_collision_probability(count_slots(KeySequence(keys, cfg.n), h))
+            assert report.records[t].value == est.empirical_cp
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,26 @@ class TestSlotCounts:
         k = SlotCounts(np.array([top, 0.0]))
         assert k.counts.tolist() == [2**63 - 1024, 0] and k.m == 2**63 - 1024
 
+    @pytest.mark.parametrize(
+        "counts",
+        [np.array([2**62, 2**62]), np.array([2**62] * 4), np.array([2.0**62] * 2), np.array([2**63 - 1, 1])],
+        ids=["wraps-negative", "wraps-to-zero", "float", "one-past"],
+    )
+    def test_totals_from_2_63_rejected(self, counts):
+        # An int64 sum would wrap: to -2**63, to 0, to -2**63 and to -2**63.
+        with pytest.raises(ValueError, match=r"count totals must lie in \[0, 2\*\*63\)"):
+            SlotCounts(counts)
+
+    def test_unsigned_counts_from_2_63_rejected(self):
+        # The int64 cast would wrap 2**63 to -2**63 and report it as negative.
+        with pytest.raises(ValueError, match=r"counts must lie in \[0, 2\*\*63\)"):
+            SlotCounts(np.array([2**63], dtype=np.uint64))
+
+    def test_largest_total_accepted(self):
+        for counts in (np.array([2**62, 2**62 - 1]), np.array([2**63 - 1, 0], dtype=np.uint64)):
+            assert SlotCounts(counts).m == 2**63 - 1
+            assert SlotCounts.rows(counts.astype(np.int64)[None])[0].m == 2**63 - 1
+
     def test_empty_sequence_gives_zero_counts(self):
         k = count_slots(KeySequence([], 4), HashModel.identity(4))
         assert k.m == 0 and np.all(k.counts == 0)
@@ -395,6 +415,73 @@ class TestBlockSlotCounts:
         for t, k in enumerate(np.concatenate(blocks)):
             keys = sample_from_cdf(q.cdf, rng.trial_seed(base_seed, t), m)
             assert np.array_equal(k, count_slots(KeySequence(keys, h.universe), h).counts)
+
+
+class TestSlotCountsRows:
+    """Differential gate: SlotCounts.rows(block) is [SlotCounts(row) for row in block]."""
+
+    @staticmethod
+    def assert_rows_match(block):
+        rows = SlotCounts.rows(block)
+        expected = [SlotCounts(row) for row in block]
+        assert [k.counts.tobytes() for k in rows] == [k.counts.tobytes() for k in expected]
+        assert [k.m for k in rows] == [k.m for k in expected]
+        assert all(type(k.m) is int and k.counts.dtype == np.int64 for k in rows)
+        return rows
+
+    def test_rows_equal_per_row_counts(self):
+        block = np.random.default_rng(4).integers(0, 50, (7, 33))
+        self.assert_rows_match(block)
+        assert SlotCounts.rows(block[:0]) == []
+
+    def test_rows_are_read_only_copies(self):
+        block = np.arange(12, dtype=np.int64).reshape(3, 4)
+        rows = self.assert_rows_match(block)
+        for k in rows:
+            assert not k.counts.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                k.counts[0] = 1
+        block[:] = 99
+        assert [k.counts.tolist() for k in rows] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        assert [k.m for k in rows] == [6, 22, 38]
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (np.array([[1, 2], [3, -1]]), "counts must be nonnegative"),
+            (np.array([[1, 2]], dtype=np.int32), "2-d int64 array"),
+            (np.array([[1.0, 2.0]]), "2-d int64 array"),
+            ([[1, 2]], "2-d int64 array"),
+            (np.array([1, 2]), "2-d int64 array"),
+            (np.zeros((2, 0), dtype=np.int64), "at least one slot"),
+            (np.array([[2**62, 2**62]]), r"count totals must lie in \[0, 2\*\*63\)"),
+            (np.array([[1, 1], [2**63 - 1, 1]]), r"count totals must lie in \[0, 2\*\*63\)"),
+        ],
+        ids=["negative", "int32", "float", "list", "1-d", "zero-width", "total-2-63", "later-row"],
+    )
+    def test_bad_blocks_rejected(self, block, message):
+        with pytest.raises(ValueError, match=message):
+            SlotCounts.rows(block)
+
+
+@st.composite
+def count_blocks(draw):
+    """A (B, n) int64 block: small counts, or counts near 2**63 / n whose totals may reach 2**63."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    top = draw(st.sampled_from([5, 2**63 // n, 2**63 - 1]))
+    entries = draw(st.lists(st.integers(0, top), min_size=rows * n, max_size=rows * n))
+    return np.array(entries, dtype=np.int64).reshape(rows, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=count_blocks())
+def test_property_block_rows_equal_per_row_counts(block):
+    if all(sum(map(int, row)) < 2**63 for row in block):
+        TestSlotCountsRows.assert_rows_match(block)
+    else:
+        for make in (SlotCounts.rows, lambda b: [SlotCounts(row) for row in b]):
+            with pytest.raises(ValueError, match=r"count totals must lie in \[0, 2\*\*63\)"):
+                make(block)
 
 
 @st.composite

@@ -3,6 +3,8 @@ of the documented algorithm, output for output."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainhash import rng
 
@@ -137,3 +139,32 @@ def test_finished_premixed_words_are_the_stream(seed, offset, count):
     assert np.array_equal(words >> np.uint64(33), stream >> np.uint64(33))
     assert rng.finish(words) is words
     assert np.array_equal(words, stream)
+
+
+# Seeds from the whole 64-bit range plus the trial-splitting lattice: 0, 2**64 - 1 and
+# multiples of GOLDEN, reduced mod 2**64 or not (mix64 reduces them).
+_SEEDS = st.one_of(
+    st.sampled_from([0, MASK]),
+    st.integers(0, MASK),
+    st.integers(0, 2**20).map(lambda t: t * rng.GOLDEN),
+    st.integers(0, 2**20).map(lambda t: (t * rng.GOLDEN) & MASK),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seeds=st.one_of(*(st.lists(_SEEDS, min_size=k, max_size=k) for k in (1, 2)), st.lists(_SEEDS, max_size=64)),
+    count=st.integers(0, 40),
+    offset=st.integers(0, 2**40),
+)
+def test_property_block_rows_are_one_seed_streams(seeds, count, offset):
+    # Two or more seeds are scrambled in numpy, one seed by the scalar mix64.
+    block = rng.premixed(seeds, count, offset)
+    assert block.shape == (len(seeds), count) and block.dtype == np.uint64
+    for r, seed in enumerate(seeds):
+        assert np.array_equal(block[r], rng.premixed(seed, count, offset))
+        assert np.array_equal(block[r], rng.premixed([seed], count, offset)[0])
+    if count:
+        origins = [_finalize(seed & MASK) for seed in seeds]
+        expected = [_premix((z + (offset + 1) * rng.GOLDEN) & MASK) for z in origins]
+        assert [int(w) for w in block[:, 0]] == expected
