@@ -6,6 +6,10 @@ reproducible, trials could be executed in any order, and re-running a
 single index reproduces its record.  Reports carry per-trial rows (all of
 them up to a cap, the first ones beyond it; records are built from them on
 first read) plus streaming aggregates that never depend on the cap.
+
+Collision and AST runs share one run path, ``_run``: set-up, trial loop,
+record cap, shared aggregates and report.  Each kind supplies only its
+bound, its per-block ``measure`` and its extra aggregates.
 """
 
 from __future__ import annotations
@@ -243,8 +247,9 @@ class ExperimentConfig:
             raise ValueError("m must be at least 2")
         if self.m > MAX_SIZE:
             raise ValueError(f"m must be at most 2**24, the maximum key count, got {self.m}")
-        if self.kind == "ast" and self.access_pattern is None:
-            raise ValueError("ast experiments need an access_pattern spec")
+        if (self.kind == "ast") != (self.access_pattern is not None):
+            need = "need" if self.kind == "ast" else "take no"
+            raise ValueError(f"{self.kind} experiments {need} config key 'access_pattern'")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
@@ -361,33 +366,56 @@ def resolve_ast_bound(
     )
 
 
-def _run_trials(
-    q: ProbabilityVector, m: int, trials: int, base_seed: int, measure, kept: int, aux_mean=False
-):
-    """Draw and measure every trial; returns (value stats, aux stats, violations, rows).
+def _run_trials(q: ProbabilityVector, m: int, trials: int, base_seed: int, measure, kept: int):
+    """Draw and measure every trial; returns (value stats, violations, rows).
 
     Trial t samples m keys from ``q`` with the seed ``trial_seed(base_seed, t)``.
     Consecutive trials are sampled a block at a time (see ``_BLOCK_DRAWS``),
     one key row per trial, and ``measure`` takes the block and yields each
     row's (value, aux, violation) in trial order; ``rows`` lists those of the
-    first ``kept`` trials.  The aux stats are None unless ``aux_mean`` is set.
+    first ``kept`` trials.  A kind that aggregates its aux figure does so in
+    its ``measure``.
     """
     cdf, guide = q.cdf, q.guide
     block = max(1, _BLOCK_DRAWS // m)
-    stats, aux_stats = _Welford(), _Welford() if aux_mean else None
-    violations, rows = 0, []
+    stats, violations, rows = _Welford(), 0, []
     for start in range(0, trials, block):
         seeds = [rng.trial_seed(base_seed, t) for t in range(start, min(start + block, trials))]
         # `keys` holds each block until the next is drawn: freeing it first churns the heap.
         keys = sample_from_cdf(cdf, seeds, m, guide)
         measured = list(measure(keys))
-        for value, aux, violation in measured:
+        for value, _, violation in measured:
             violations += violation
             stats.add(value)
-            if aux_stats is not None:
-                aux_stats.add(aux)
         rows += measured[: max(0, kept - start)]
-    return stats, aux_stats, violations, rows
+    return stats, violations, rows
+
+
+# Every aggregate, in the order the CLI prints them; each kind reports a subset.
+_AGGREGATES = "trials mean sample_std exact_mean violations violation_frequency p_norm_sq".split()
+
+
+def _run(cfg: ExperimentConfig, kind: str, setup) -> ExperimentReport:
+    """Run the trials of a ``kind`` config and report them.
+
+    ``setup(h, q)`` returns what belongs to the kind: its bound's label and
+    value, its ``measure`` (see :func:`_run_trials`), the record field of its
+    aux figure, and a callable that gives its extra aggregates once every
+    trial has run.
+    """
+    if cfg.kind != kind:
+        raise ValueError(f"config kind must be {kind!r}")
+    start = time.perf_counter()
+    h = hash_from_spec(cfg.hash_spec, cfg.n)
+    q = distribution_from_spec(cfg.distribution, h.universe)
+    label, bound, measure, aux_field, extra = setup(h, q)
+    kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
+    stats, violations, rows = _run_trials(q, cfg.m, cfg.trials, cfg.base_seed, measure, kept)
+    values = dict(trials=cfg.trials, mean=stats.mean, sample_std=stats.sample_std,
+                  violations=violations, violation_frequency=violations / cfg.trials, **extra())
+    aggregates = {key: values[key] for key in _AGGREGATES if key in values}
+    bound = {"kind": label, **asdict(bound)}
+    return ExperimentReport(cfg, bound, aggregates, rows, aux_field, time.perf_counter() - start)
 
 
 def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -398,43 +426,25 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
     when the error exceeds the bound.  No judgment is applied here — the
     report just states the observed violation frequency.
     """
-    if cfg.kind != "collision":
-        raise ValueError("config kind must be 'collision'")
-    start = time.perf_counter()
-    h = hash_from_spec(cfg.hash_spec, cfg.n)
-    q = distribution_from_spec(cfg.distribution, h.universe)
-    p_norm_sq = norm_sq(slot_probabilities(q, h))
-    bound = resolve_collision_bound(cfg.bound, cfg.n, cfg.m)
 
-    # Rows per slot count, so that a count holds at most about _BLOCK_DRAWS slots.
-    rows = max(1, _BLOCK_DRAWS // h.slots)
+    def setup(h, q):
+        p_norm_sq = norm_sq(slot_probabilities(q, h))
+        bound = resolve_collision_bound(cfg.bound, cfg.n, cfg.m)
+        # Rows per slot count, so that a count holds at most about _BLOCK_DRAWS slots.
+        rows = max(1, _BLOCK_DRAWS // h.slots)
 
-    def measure(keys):
-        # Each count block is checked and copied once (SlotCounts.rows), but the
-        # per-row estimator calls stay: a traced benchmark run replays their values.
-        for i in range(0, len(keys), rows):
-            for k in hashing.SlotCounts.rows(hashing.block_slot_counts(keys[i : i + rows], h)):
-                est = empirical_collision_probability(k)
-                rel = relative_error(est, p_norm_sq)
-                yield est.empirical_cp, rel, rel > bound.error_bound
+        def measure(keys):
+            # Each count block is checked and copied once (SlotCounts.rows), but the
+            # per-row estimator calls stay: a traced benchmark run replays their values.
+            for i in range(0, len(keys), rows):
+                for k in hashing.SlotCounts.rows(hashing.block_slot_counts(keys[i : i + rows], h)):
+                    est = empirical_collision_probability(k)
+                    rel = relative_error(est, p_norm_sq)
+                    yield est.empirical_cp, rel, rel > bound.error_bound
 
-    kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
-    stats, _, violations, rows = _run_trials(q, cfg.m, cfg.trials, cfg.base_seed, measure, kept)
-    aggregates = {
-        "trials": cfg.trials,
-        "mean": stats.mean,
-        "sample_std": stats.sample_std,
-        "violations": violations,
-        "violation_frequency": violations / cfg.trials,
-        "p_norm_sq": p_norm_sq,
-    }
-    return ExperimentReport(
-        config=cfg,
-        bound={"kind": "deviation", **asdict(bound)},
-        aggregates=aggregates,
-        rows=rows, aux_field="rel_error",
-        duration_seconds=time.perf_counter() - start,
-    )
+        return "deviation", bound, measure, "rel_error", lambda: {"p_norm_sq": p_norm_sq}
+
+    return _run(cfg, "collision", setup)
 
 
 def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -442,60 +452,42 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
 
     Per trial both search-time variants are computed: the multiplicity proxy
     (tested against the bound, one-sided) and the exact distinct-key average
-    (recorded for comparison).
+    (recorded for comparison, and averaged as ``exact_mean``).
     """
-    if cfg.kind != "ast":
-        raise ValueError("config kind must be 'ast'")
-    start = time.perf_counter()
-    h = hash_from_spec(cfg.hash_spec, cfg.n)
-    q = distribution_from_spec(cfg.distribution, h.universe)
-    v = distribution_from_spec(cfg.access_pattern, h.slots)
-    p = slot_probabilities(q, h)
-    L = cfg.m / h.slots
-    bound = resolve_ast_bound(
-        cfg.bound, L, h.slots, math.sqrt(norm_sq(v)), math.sqrt(norm_sq(p))
-    )
 
-    def measure(keys):
-        for row in keys:
-            x = KeySequence(row, len(q))
-            upper = search_time.search_time_upper(v, count_slots(x, h))
-            yield upper, search_time.average_search_time(v, x, h), upper > bound.value
+    def setup(h, q):
+        v = distribution_from_spec(cfg.access_pattern, h.slots)
+        p = slot_probabilities(q, h)
+        norms = math.sqrt(norm_sq(v)), math.sqrt(norm_sq(p))
+        bound = resolve_ast_bound(cfg.bound, cfg.m / h.slots, h.slots, *norms)
+        exact = _Welford()
 
-    kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
-    upper_stats, exact_stats, violations, rows = _run_trials(
-        q, cfg.m, cfg.trials, cfg.base_seed, measure, kept, aux_mean=True
-    )
-    aggregates = {
-        "trials": cfg.trials,
-        "mean": upper_stats.mean,
-        "sample_std": upper_stats.sample_std,
-        "exact_mean": exact_stats.mean,
-        "violations": violations,
-        "violation_frequency": violations / cfg.trials,
-    }
-    return ExperimentReport(
-        config=cfg,
-        bound={"kind": "search-time", **asdict(bound)},
-        aggregates=aggregates,
-        rows=rows, aux_field="ast_exact",
-        duration_seconds=time.perf_counter() - start,
-    )
+        def measure(keys):
+            for row in keys:
+                x = KeySequence(row, len(q))
+                upper = search_time.search_time_upper(v, count_slots(x, h))
+                ast = search_time.average_search_time(v, x, h)
+                exact.add(ast)
+                yield upper, ast, upper > bound.value
+
+        return "search-time", bound, measure, "ast_exact", lambda: {"exact_mean": exact.mean}
+
+    return _run(cfg, "ast", setup)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispatch on config kind and honor its output/csv paths; a path that is a
-    directory, or whose directory is missing, fails before the first trial and
-    opens no file."""
+    directory, or whose directory is missing, or output and csv naming one
+    file, fails before the first trial and opens no file."""
     for path in filter(None, (cfg.output, cfg.csv_path)):
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if cfg.kind == "collision":
-        report = run_collision_trials(cfg)
-    else:
-        report = run_ast_trials(cfg)
+    if cfg.output and cfg.csv_path:
+        if os.path.realpath(cfg.output) == os.path.realpath(cfg.csv_path):
+            raise ValueError(f"config keys 'output' and 'csv' name the same file {cfg.csv_path!r}")
+    report = (run_collision_trials if cfg.kind == "collision" else run_ast_trials)(cfg)
     if cfg.output:
         report.write_json(cfg.output)
     if cfg.csv_path:

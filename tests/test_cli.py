@@ -684,6 +684,96 @@ class TestExperimentCommand:
         assert (code, out) == (1, "")
         assert err == "error: m must be at most 2**24, the maximum key count, got 16777217\n"
 
+    @pytest.mark.parametrize(
+        "pattern", [{"name": "bogus", "zzz": 1}, {"name": "uniform"}, {"zzz": 1}]
+    )
+    def test_collision_config_with_an_access_pattern_is_domain_error(
+        self, tmp_path, capsys, no_stream, pattern
+    ):
+        cfg = {
+            "kind": "collision", "n": 16, "m": 640, "trials": 3, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3}, "access_pattern": pattern,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == "error: collision experiments take no config key 'access_pattern'\n"
+
+    @pytest.mark.parametrize(
+        "output, csv",
+        [("x.out", "x.out"), ("d/x", "d/./x"), ("d/x", "d/../d/x"), ("d/x", "d/link")],
+    )
+    @pytest.mark.parametrize("by", ["config", "flags"])
+    def test_output_and_csv_naming_one_file_fail_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, output, csv, by
+    ):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_run_trials", no_trials)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "link").symlink_to("x")
+        output, csv = str(tmp_path / output), str(tmp_path / csv)
+        cfg = {
+            "kind": "collision", "n": 16, "m": 640, "trials": 3, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3},
+        }
+        argv = ["experiment", "--config", str(tmp_path / "cfg.json")]
+        if by == "config":
+            cfg.update(output=output, csv=csv)
+        else:
+            argv += ["--out", output, "--csv", csv]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: config keys 'output' and 'csv' name the same file {csv!r}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "d", "link"]
+
+    # Each kind's printed keys: kind, the bound block, the aggregates in their
+    # report order, the duration and the output paths.
+    PRINTED = {
+        "collision": [
+            "kind", "kind", "error_bound", "confidence", "vacuous", "underflow",
+            "trials", "mean", "sample_std", "violations", "violation_frequency", "p_norm_sq",
+            "duration_seconds", "output", "csv",
+        ],
+        "ast": [
+            "kind", "kind", "value", "confidence",
+            "trials", "mean", "sample_std", "exact_mean", "violations", "violation_frequency",
+            "duration_seconds", "output", "csv",
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {
+                "kind": "collision", "n": 16, "m": 640, "trials": 5, "base_seed": 1,
+                "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+                "bound": {"name": "load-factor", "epsilon": 0.3},
+            },
+            {
+                "kind": "ast", "n": 100, "m": 2000, "trials": 5, "base_seed": 9,
+                "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+                "access_pattern": {"name": "restricted", "alpha": 0.1},
+                "bound": {"name": "eps-form", "epsilon": 0.15},
+            },
+        ],
+        ids=["collision", "ast"],
+    )
+    def test_text_output_prints_its_keys_in_order(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, _ = run(
+            capsys, "experiment", "--config", str(cfg_path),
+            "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv"),
+        )
+        assert code == 0
+        assert [line.split(" ", 1)[0] for line in out.splitlines()] == self.PRINTED[cfg["kind"]]
+
 
 class TestPerturbationCommand:
     def test_key_count_above_the_cap_is_domain_error(self, capsys, no_stream):

@@ -122,6 +122,23 @@ class TestConfig:
         cfg = collision_config(access_pattern={})
         assert cfg.access_pattern is None and cfg.to_dict()["access_pattern"] is None
 
+    @pytest.mark.parametrize(
+        "pattern", [{"name": "bogus", "zzz": 1}, {"name": "uniform"}, {"zzz": 1}]
+    )
+    def test_collision_rejects_an_access_pattern(self, pattern):
+        with pytest.raises(ValueError, match="'access_pattern'"):
+            collision_config(access_pattern=pattern)
+        with pytest.raises(ValueError, match="'access_pattern'"):
+            ExperimentConfig(**{**vars(collision_config()), "access_pattern": pattern})
+        with pytest.raises(ValueError, match="'access_pattern'"):
+            dataclasses.replace(collision_config(), access_pattern=pattern)
+
+    def test_collision_takes_an_absent_or_null_access_pattern(self):
+        data = collision_config().to_dict()
+        del data["access_pattern"]
+        for cfg in (ExperimentConfig.from_dict(data), collision_config(access_pattern=None)):
+            assert cfg.access_pattern is None and cfg == collision_config()
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(collision_config().to_dict()))

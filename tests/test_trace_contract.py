@@ -48,6 +48,10 @@ def test_traced_run_replays_the_report(workload, tmp_path):
     assert len(rec.values[spans.RUN_EXPERIMENT][0].records) == TRIALS
     assert len(rec.marks) == TRIALS
     recorded = [name for name, *_ in rec.spans]
+    # experiments.self_us_per_trial is the self time of these two spans: a run
+    # that bypasses either module attribute would change it silently.
+    assert recorded.count(spans.RUN_EXPERIMENT) == 1
+    assert recorded.count(spans.RUN_TRIALS) == 1
     for name in PER_TRIAL[cfg["kind"]]:
         assert recorded.count(name) >= (1 if name == spans.SAMPLE else TRIALS), name
     for name in NEVER[cfg["kind"]]:
