@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from typing import Any
@@ -176,6 +177,9 @@ def cmd_experiment(args) -> int:
         experiments.ExperimentConfig.from_file(args.config),
         **{field: value for field, value in flags.items() if value is not None},
     )
+    for key, path in (("output", cfg.output), ("csv", cfg.csv_path)):
+        if path and os.path.realpath(path) == os.path.realpath(args.config):
+            raise ValueError(f"config key {key!r} names the config file {args.config!r}")
     report = experiments.run_experiment(cfg)
     if args.json:
         print(report.to_json())

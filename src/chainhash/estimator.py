@@ -38,9 +38,10 @@ class CollisionEstimate:
 
 def collision_pairs(k: SlotCounts) -> int:
     """Number of colliding key pairs: sum_i C(k_i, 2), as an exact integer."""
-    c = k.counts
-    # sum k(k-1) = sum k^2 - m; exact in int64: sum k^2 <= m^2 <= 2**48 under the 2**24 key cap.
-    return (int(np.dot(c, c)) - k.m) // 2
+    c, m = k.counts, k.m
+    # sum k(k-1) = sum k^2 - m; sum k^2 <= m^2, so an int64 dot is exact while m^2 < 2**63.
+    squares = int(np.dot(c, c)) if m * m < 2**63 else sum(v * v for v in c.tolist())
+    return (squares - m) // 2
 
 
 def empirical_collision_probability(k: SlotCounts) -> CollisionEstimate:

@@ -192,9 +192,10 @@ def _config_str(value: Any, key: str) -> str:
 
 
 def _config_path(value: Any, key: str) -> str | None:
-    """An optional output path: a string, or absent or null for none."""
-    if value is not None and type(value) is not str:  # open() takes an int as a file descriptor
-        raise ValueError(f"config key {key!r} must be a string or null, got {value!r}")
+    """An optional output path: a nonempty string, or absent or null for none
+    (open() would take an int as a file descriptor, and "" names no file)."""
+    if value is not None and (type(value) is not str or not value):
+        raise ValueError(f"config key {key!r} must be a nonempty string or null, got {value!r}")
     return value
 
 
@@ -434,10 +435,9 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
         rows = max(1, _BLOCK_DRAWS // h.slots)
 
         def measure(keys):
-            # Each count block is checked and copied once (SlotCounts.rows), but the
-            # per-row estimator calls stay: a traced benchmark run replays their values.
+            # The per-row estimator calls stay: a traced benchmark run replays their values.
             for i in range(0, len(keys), rows):
-                for k in hashing.SlotCounts.rows(hashing.block_slot_counts(keys[i : i + rows], h)):
+                for k in hashing.block_slot_counts(keys[i : i + rows], h):
                     est = empirical_collision_probability(k)
                     rel = relative_error(est, p_norm_sq)
                     yield est.empirical_cp, rel, rel > bound.error_bound

@@ -5,7 +5,9 @@ onto slots {0..n-1}.  Two modes cover everything the analysis needs:
 ``identity`` (U = n, so experiments can parametrize directly by the slot
 distribution) and ``fixed-table`` (an explicit U-entry lookup table for
 genuine many-to-one hashing).  Where U <= 8m, :func:`distinct_counts` and the
-identity hash's :func:`count_slots` share a sequence's one key histogram.
+identity hash's :func:`count_slots` share a sequence's one key histogram.  Their
+counts, and the rows of :func:`block_slot_counts`, are read-only and skip the
+check that :class:`SlotCounts` makes of counts from outside the package.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import numpy as np
 
 from . import rng
-from .probability import KeySequence, ProbabilityVector, _check_integer, _read_only, check_integral
+from .probability import KeySequence, ProbabilityVector, _check_integer, _int64_entries, _read_only
 
 # Guardrail against accidental huge allocations; both U and n must stay under it.
 MAX_SIZE = 2**24
@@ -57,10 +59,8 @@ class HashModel:
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("table must be a nonempty 1-d sequence")
         _check_size(raw.size, "universe size")
-        check_integral(raw, "table entries")
-        if raw.min() < 0 or raw.max() >= n:
-            raise ValueError("table entries must lie in [0, n)")
-        return cls(raw.astype(np.int64), raw.size, n)
+        table = _int64_entries(raw, n, "table entries", "table entries must lie in [0, n)")
+        return cls(table, raw.size, n)
 
     @classmethod
     def random_table(cls, universe: int, n: int, seed: int) -> "HashModel":
@@ -140,32 +140,25 @@ class SlotCounts:
         arr = np.asarray(counts)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
-        if arr.dtype != np.int64:  # bincount's counts skip the check
-            check_integral(arr, "counts")
-            # 1e300 and uint64 2**63 have no int64 value: the cast would warn or wrap.
-            if arr.dtype.kind in "fu" and not 0 <= arr.min() <= arr.max() < 2**63:
-                raise ValueError("counts must lie in [0, 2**63)")
-            arr = arr.astype(np.int64)
-        self._m = int(_count_totals(arr))
-        self._counts = arr.copy()
-        self._counts.flags.writeable = False
+        arr = _int64_entries(arr, 2**63, "counts", "counts must lie in [0, 2**63)",
+                             "counts must be nonnegative")
+        if int(arr.max()) <= (2**63 - 1) // arr.size:  # no total can wrap
+            m = int(arr.sum())
+        else:
+            m = int(arr.sum(dtype=object))  # exact Python integers
+            if m >= 2**63:
+                raise ValueError("count totals must lie in [0, 2**63)")
+        arr.flags.writeable = False
+        self._counts, self._m = arr, m
 
     @classmethod
-    def rows(cls, block: np.ndarray) -> list["SlotCounts"]:
-        """``[SlotCounts(row) for row in block]`` for a 2-d int64 count block, which
-        is checked, copied and summed once: the rows are views of one read-only copy."""
-        is_block = isinstance(block, np.ndarray) and block.dtype == np.int64 and block.ndim == 2
-        if not is_block or not block.shape[1]:
-            raise ValueError("a count block must be a 2-d int64 array with at least one slot")
-        totals = _count_totals(block).tolist()
-        block = block.copy()
-        block.flags.writeable = False  # and so are its row views
-        rows = []
-        for counts, m in zip(block, totals):
-            k = cls.__new__(cls)
-            k._counts, k._m = counts, m
-            rows.append(k)
-        return rows
+    def _trusted(cls, counts: np.ndarray, m: int) -> "SlotCounts":
+        """Wrap a read-only int64 count array the package computed, whose total ``m``
+        (a Python int) the caller knows: no check, no sum and no copy, unlike the
+        constructor, which checks counts from outside and keeps a read-only copy."""
+        k = cls.__new__(cls)
+        k._counts, k._m = counts, m
+        return k
 
     @property
     def counts(self) -> np.ndarray:
@@ -180,19 +173,6 @@ class SlotCounts:
 
     def __repr__(self) -> str:
         return f"SlotCounts(n={len(self)}, m={self._m})"
-
-
-def _count_totals(counts: np.ndarray):
-    """The totals along the last axis of int64 counts whose entries and totals lie in [0, 2**63)."""
-    top = int(counts.view(np.uint64).max(initial=0))  # a negative entry reads as 2**63 or more
-    if top >= 2**63:
-        raise ValueError("counts must be nonnegative")
-    if top <= (2**63 - 1) // counts.shape[-1]:  # no total can wrap
-        return counts.sum(axis=-1)
-    totals = counts.sum(axis=-1, dtype=object)  # exact Python integers
-    if np.max(totals) >= 2**63:
-        raise ValueError("count totals must lie in [0, 2**63)")
-    return totals
 
 
 def _check_keys(x: KeySequence, h: HashModel) -> None:
@@ -219,14 +199,18 @@ def count_slots(x: KeySequence, h: HashModel) -> SlotCounts:
     counts = x._key_histogram() if h.table is None and x.universe == h.universe else None
     if counts is None:
         counts = np.bincount(h.slots_of(x._owner), minlength=h.slots)
-    return SlotCounts(counts)
+        counts.flags.writeable = False
+    return SlotCounts._trusted(counts, len(x))
 
 
-def block_slot_counts(keys: np.ndarray, h: HashModel) -> np.ndarray:
-    """Row r of the (B, n) int64 result is :func:`count_slots` of ``keys[r]``, from one
-    bincount over slot + r*n (keys unchecked: the sampler's lie in the universe)."""
+def block_slot_counts(keys: np.ndarray, h: HashModel) -> list[SlotCounts]:
+    """:func:`count_slots` of each row of a (B, m) key block, from one bincount over
+    slot + r*n; the rows are views of one read-only array (keys unchecked: the
+    sampler's lie in the universe)."""
     slots = h.slots_of(keys) + np.arange(0, len(keys) * h.slots, h.slots)[:, None]
-    return np.bincount(slots.ravel(), minlength=len(keys) * h.slots).reshape(-1, h.slots)
+    counts = np.bincount(slots.ravel(), minlength=len(keys) * h.slots).reshape(-1, h.slots)
+    counts.flags.writeable = False  # and so are its row views
+    return [SlotCounts._trusted(row, keys.shape[1]) for row in counts]
 
 
 def distinct_counts(x: KeySequence, h: HashModel) -> SlotCounts:
@@ -238,5 +222,6 @@ def distinct_counts(x: KeySequence, h: HashModel) -> SlotCounts:
     _check_keys(x, h)
     hist = x._key_histogram()
     uniq = np.unique(x.keys) if hist is None else np.flatnonzero(hist)
-    slots = h.slots_of(uniq)
-    return SlotCounts(np.bincount(slots, minlength=h.slots))
+    counts = np.bincount(h.slots_of(uniq), minlength=h.slots)
+    counts.flags.writeable = False
+    return SlotCounts._trusted(counts, len(uniq))

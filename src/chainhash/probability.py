@@ -13,7 +13,9 @@ sampler takes each draw's guide bucket from the top bits of its stream word
 before the last xor-shift, which keeps them; the guide's sign marks the
 buckets that hold a cdf step, and only those draws form the double u.  It
 also takes a block of seeds and draws one row per seed in a single call;
-each row holds exactly the draws its seed gives on its own.
+each row holds exactly the draws its seed gives on its own.  Integer arrays
+from outside (keys here, slot counts and hash tables in :mod:`.hashing`) are
+checked once, where they enter, by one reader: :func:`_int64_entries`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ _GUIDE_MAX_BUCKETS = 2**20  # never above 2**31: see sample_from_cdf
 # takes np.unique otherwise).  On 10**3..10**5 random keys the bincount was the
 # faster up to U between 32 and 64 times the key count, 3.5-7x at 8 times.
 _BINCOUNT_UNIVERSE_PER_KEY = 8
-_KEY_RANGE = "key index out of range for universe size %d"
 # Bucket edges searched per call while building (the fastest of 2**10..2**16
 # on a 2**20-entry Zipf cdf).
 _GUIDE_BLOCK = 2**12
@@ -126,14 +127,29 @@ def _check_integer(value, what: str) -> int:
     return int(value)
 
 
-def check_integral(arr: np.ndarray, what: str) -> None:
-    """Reject a fractional, non-finite or non-numeric entry (O(1) on integer arrays)."""
-    if arr.dtype.kind == "f":
+def _int64_entries(arr: np.ndarray, limit: int, what: str, out_of_range: str, negative=None):
+    """A new int64 copy of the 1-d array ``arr``, whose entries must be integers in [0, limit).
+
+    A fractional, non-finite, bool or non-numeric entry raises "<what> must be
+    integers"; an entry outside [0, limit) raises ``out_of_range``.  Float and
+    unsigned entries are range-checked before the cast: 1e300 and uint64 2**63
+    have no int64 value.  The copy is checked on its uint64 view, where a
+    negative entry reads as 2**63 or more; ``negative``, where given with
+    ``limit`` = 2**63, is the message for those, the only ones it can catch.
+    """
+    kind = arr.dtype.kind
+    if kind == "f":
         integral = np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
     else:
-        integral = arr.dtype.kind in "iu"
+        integral = kind in "iu"
     if not integral:
         raise ValueError(f"{what} must be integers")
+    if kind in "fu" and not 0 <= arr.min(initial=0).item() <= arr.max(initial=0).item() < limit:
+        raise ValueError(out_of_range)
+    arr = arr.astype(np.int64)  # always a copy: a later write by the caller skips no check
+    if int(arr.view(np.uint64).max(initial=0)) >= limit:
+        raise ValueError(negative or out_of_range)
+    return arr
 
 
 class KeySequence:
@@ -148,15 +164,8 @@ class KeySequence:
         arr = np.asarray(keys)
         if arr.ndim != 1:
             raise ValueError("keys must be a 1-d sequence")
-        limit = min(universe, 2**63)  # as uint64, a negative int64 key is >= 2**63
-        if arr.dtype != np.int64:  # the sampler's keys skip the check
-            check_integral(arr, "keys")
-            if arr.dtype.kind == "f" and arr.size:  # before the cast: 1e300 has no int64 value
-                if not 0 <= float(arr.min()) <= float(arr.max()) < limit:
-                    raise ValueError(_KEY_RANGE % universe)
-        arr = arr.astype(np.int64)  # always a copy: a later write by the caller skips no check
-        if arr.size and int(arr.view(np.uint64).max()) >= limit:
-            raise ValueError(_KEY_RANGE % universe)
+        out_of_range = f"key index out of range for universe size {universe}"
+        arr = _int64_entries(arr, min(universe, 2**63), "keys", out_of_range)
         # np.bincount copies read-only input, so it reads this owner; nothing writes it.
         self._owner = arr
         self._keys = _read_only(arr)

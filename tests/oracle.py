@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from chainhash import experiments
 from chainhash.estimator import empirical_collision_probability, relative_error
-from chainhash.hashing import SlotCounts, block_slot_counts, slot_probabilities
+from chainhash.hashing import block_slot_counts, slot_probabilities
 from chainhash.probability import norm_sq
 
 
@@ -55,7 +55,7 @@ def unbiasedness_check(dist, h, m: int, trials: int, base_seed: int) -> Unbiased
 
     def measure(keys):
         for k in block_slot_counts(keys, h):
-            est = empirical_collision_probability(SlotCounts(k))
+            est = empirical_collision_probability(k)
             yield est.empirical_cp, relative_error(est, p_norm_sq), False
 
     stats = experiments._run_trials(dist, m, trials, base_seed, measure, 0)[0]

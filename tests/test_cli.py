@@ -595,9 +595,13 @@ class TestExperimentCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(named) in err
 
-    @pytest.mark.parametrize("key, value", [("csv", 5), ("output", ["a"]), ("csv", 1.5)])
+    @pytest.mark.parametrize(
+        "key, value, flags",
+        [("csv", 5, []), ("output", ["a"], []), ("csv", 1.5, []), ("output", "", []),
+         ("csv", "", []), ("output", None, ["--out", ""]), ("csv", None, ["--csv", ""])],
+    )
     def test_non_string_output_path_is_domain_error(self, tmp_path, capsys, monkeypatch, key,
-                                                    value):
+                                                    value, flags):
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
@@ -609,9 +613,37 @@ class TestExperimentCommand:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg_path), *flags)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("key, flag", [("output", "--out"), ("csv", "--csv")])
+    @pytest.mark.parametrize("by", ["config", "flag"])
+    def test_output_naming_the_config_file_fails_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, key, flag, by
+    ):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_run_trials", no_trials)
+        cfg_path = tmp_path / "cfg.json"
+        same = str(tmp_path / "." / "cfg.json")
+        cfg = {
+            "kind": "collision", "n": 16, "m": 640, "trials": 3, "base_seed": 1,
+            "distribution": {"name": "uniform"}, "hash": {"mode": "identity"},
+            "bound": {"name": "load-factor", "epsilon": 0.3},
+        }
+        argv = ["experiment", "--config", str(cfg_path)]
+        if by == "config":
+            cfg[key] = same
+        else:
+            argv += [flag, same]
+        text = json.dumps(cfg)
+        cfg_path.write_text(text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: config key {key!r} names the config file {str(cfg_path)!r}\n"
+        assert cfg_path.read_text() == text and [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -40,7 +40,27 @@ class TestCollisionPairs:
         assert collision_pairs(SlotCounts(counts)) == brute_force_collision_pairs(x, HashModel.identity(n))
 
 
+    # An int64 dot of the counts wraps once sum k^2 >= 2**63, which m > 3037000499 allows.
+    @pytest.mark.parametrize("counts", [[3037000499], [3037000500], [3037000499, 1], [2**32, 0],
+                                        [4500000000, 7], [2**62, 2**62 - 1]])
+    def test_exact_on_both_sides_of_the_int64_dot(self, counts):
+        assert collision_pairs(SlotCounts(counts)) == sum(k * (k - 1) // 2 for k in counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.integers(0, (2**63 - 1) // n), min_size=n, max_size=n)))
+    def test_exact_on_large_counts(self, counts):
+        assert collision_pairs(SlotCounts(counts)) == sum(k * (k - 1) // 2 for k in counts)
+
+
 class TestEmpiricalCollisionProbability:
+    def test_large_counts_do_not_wrap(self):
+        # Exact: 1 - 2 * 4500000000 * 7 / (m * (m - 1)) with m = 4500000007.
+        assert empirical_collision_probability(SlotCounts([4500000000, 7])).empirical_cp == (
+            9999999968888889e-16)
+        est = empirical_collision_probability(SlotCounts([2**32, 0]))
+        assert est.empirical_cp == 1.0 and est.collision_pairs == 2**31 * (2**32 - 1)
+
     def test_all_in_one_slot(self):
         est = empirical_collision_probability(SlotCounts([3, 0]))
         assert est.empirical_cp == 1.0 and est.collision_pairs == 3

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chainhash import experiments, rng, search_time
+from chainhash import experiments, hashing, rng, search_time
 from chainhash.estimator import empirical_collision_probability, relative_error
 from chainhash.experiments import (
     CSV_HEADER,
@@ -387,28 +387,31 @@ class TestCollisionTrials:
         with pytest.raises(ValueError):
             run_collision_trials(collision_config(bound={"name": "load-factor", "epsilon": 0.05}))
 
-    def test_count_blocks_are_checked_once_each(self, monkeypatch):
+    def test_runs_count_each_block_once_and_check_no_count(self, monkeypatch):
         # Sampler blocks of 8 trials over 21 trials (the last holds 5), and a row
         # cap of 320 // 128 = 2 that splits each into count blocks of 2 (the last of 1).
         monkeypatch.setattr(experiments, "_BLOCK_DRAWS", 8 * 40)
         inits, blocks = [], []
-        init, rows = SlotCounts.__init__, SlotCounts.rows.__func__
+        init, block_slot_counts = SlotCounts.__init__, hashing.block_slot_counts
 
         def spy_init(self, counts):
             inits.append(counts)
             init(self, counts)
 
-        def spy_rows(cls, block):
-            blocks.append(block.shape)
-            return rows(cls, block)
+        def spy_blocks(keys, h):
+            blocks.append(keys.shape)
+            return block_slot_counts(keys, h)
 
         monkeypatch.setattr(SlotCounts, "__init__", spy_init)
-        monkeypatch.setattr(SlotCounts, "rows", classmethod(spy_rows))
+        monkeypatch.setattr(hashing, "block_slot_counts", spy_blocks)
         bound = {"name": "polynomial", "beta": 1.0, "lambda": 1.0}
         cfg = collision_config(n=128, m=40, trials=21, bound=bound)
         report = run_collision_trials(cfg)
+        # AST runs through the key histogram (U <= 8m) and through np.unique and a table.
+        run_ast_trials(ast_config(trials=5))
+        run_ast_trials(ast_config(trials=5, hash={"mode": "random-table", "universe": 50000}))
         assert inits == []
-        assert blocks == [(2, 128)] * 10 + [(1, 128)]
+        assert blocks == [(2, 40)] * 10 + [(1, 40)]
         monkeypatch.undo()
         q, h = make_uniform(cfg.n), HashModel.identity(cfg.n)
         for t in (0, 1, 2, 7, 8, 15, 16, 19, 20):

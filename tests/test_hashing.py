@@ -1,3 +1,5 @@
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -259,7 +261,6 @@ class TestSlotCounts:
     def test_largest_total_accepted(self):
         for counts in (np.array([2**62, 2**62 - 1]), np.array([2**63 - 1, 0], dtype=np.uint64)):
             assert SlotCounts(counts).m == 2**63 - 1
-            assert SlotCounts.rows(counts.astype(np.int64)[None])[0].m == 2**63 - 1
 
     def test_empty_sequence_gives_zero_counts(self):
         k = count_slots(KeySequence([], 4), HashModel.identity(4))
@@ -371,7 +372,7 @@ class TestSharedKeyHistogram:
             assert not hist.flags.writeable and np.array_equal(hist, np.bincount(keys, minlength=universe))
             with pytest.raises(ValueError, match="read-only"):
                 hist[0] = 1
-            assert not np.shares_memory(hist, k.counts)  # SlotCounts keeps its own copy
+            assert not k.counts.flags.writeable and not d.counts.flags.writeable
         else:
             assert universe > 8 * m and x._key_histogram() is None and x._histogram is None
 
@@ -394,9 +395,10 @@ class TestBlockSlotCounts:
         q = make_zipf(h.universe, 1.0)
         keys = sample_from_cdf(q.cdf, [rng.trial_seed(5, t) for t in range(rows)], m)
         counts = block_slot_counts(keys, h)
-        assert counts.shape == (rows, h.slots) and counts.dtype == np.int64
+        assert len(counts) == rows
         for row, k in zip(keys, counts):
-            assert np.array_equal(k, count_slots(KeySequence(row, h.universe), h).counts)
+            assert k.counts.dtype == np.int64 and k.m == m
+            assert np.array_equal(k.counts, count_slots(KeySequence(row, h.universe), h).counts)
 
     @pytest.mark.parametrize("name", sorted(BLOCK_HASHES))
     def test_partial_last_block_rows_equal_count_slots(self, tmp_path, monkeypatch, name):
@@ -412,96 +414,81 @@ class TestBlockSlotCounts:
 
         experiments._run_trials(q, m, trials, base_seed, measure, 0)
         assert [len(b) for b in blocks] == [3, 3, 1]
-        for t, k in enumerate(np.concatenate(blocks)):
+        for t, k in enumerate(itertools.chain(*blocks)):
             keys = sample_from_cdf(q.cdf, rng.trial_seed(base_seed, t), m)
-            assert np.array_equal(k, count_slots(KeySequence(keys, h.universe), h).counts)
-
-
-class TestSlotCountsRows:
-    """Differential gate: SlotCounts.rows(block) is [SlotCounts(row) for row in block]."""
-
-    @staticmethod
-    def assert_rows_match(block):
-        rows = SlotCounts.rows(block)
-        expected = [SlotCounts(row) for row in block]
-        assert [k.counts.tobytes() for k in rows] == [k.counts.tobytes() for k in expected]
-        assert [k.m for k in rows] == [k.m for k in expected]
-        assert all(type(k.m) is int and k.counts.dtype == np.int64 for k in rows)
-        return rows
-
-    def test_rows_equal_per_row_counts(self):
-        block = np.random.default_rng(4).integers(0, 50, (7, 33))
-        self.assert_rows_match(block)
-        assert SlotCounts.rows(block[:0]) == []
-
-    def test_rows_are_read_only_copies(self):
-        block = np.arange(12, dtype=np.int64).reshape(3, 4)
-        rows = self.assert_rows_match(block)
-        for k in rows:
-            assert not k.counts.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                k.counts[0] = 1
-        block[:] = 99
-        assert [k.counts.tolist() for k in rows] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
-        assert [k.m for k in rows] == [6, 22, 38]
-
-    @pytest.mark.parametrize(
-        "block, message",
-        [
-            (np.array([[1, 2], [3, -1]]), "counts must be nonnegative"),
-            (np.array([[1, 2]], dtype=np.int32), "2-d int64 array"),
-            (np.array([[1.0, 2.0]]), "2-d int64 array"),
-            ([[1, 2]], "2-d int64 array"),
-            (np.array([1, 2]), "2-d int64 array"),
-            (np.zeros((2, 0), dtype=np.int64), "at least one slot"),
-            (np.array([[2**62, 2**62]]), r"count totals must lie in \[0, 2\*\*63\)"),
-            (np.array([[1, 1], [2**63 - 1, 1]]), r"count totals must lie in \[0, 2\*\*63\)"),
-        ],
-        ids=["negative", "int32", "float", "list", "1-d", "zero-width", "total-2-63", "later-row"],
-    )
-    def test_bad_blocks_rejected(self, block, message):
-        with pytest.raises(ValueError, match=message):
-            SlotCounts.rows(block)
-
-
-@st.composite
-def count_blocks(draw):
-    """A (B, n) int64 block: small counts, or counts near 2**63 / n whose totals may reach 2**63."""
-    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    top = draw(st.sampled_from([5, 2**63 // n, 2**63 - 1]))
-    entries = draw(st.lists(st.integers(0, top), min_size=rows * n, max_size=rows * n))
-    return np.array(entries, dtype=np.int64).reshape(rows, n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(block=count_blocks())
-def test_property_block_rows_equal_per_row_counts(block):
-    if all(sum(map(int, row)) < 2**63 for row in block):
-        TestSlotCountsRows.assert_rows_match(block)
-    else:
-        for make in (SlotCounts.rows, lambda b: [SlotCounts(row) for row in b]):
-            with pytest.raises(ValueError, match=r"count totals must lie in \[0, 2\*\*63\)"):
-                make(block)
+            assert np.array_equal(k.counts, count_slots(KeySequence(keys, h.universe), h).counts)
 
 
 @st.composite
 def key_blocks(draw):
-    """A hash (identity or an arbitrary table) and a (B, m) block of keys in its universe."""
+    """A hash (identity or an arbitrary table), a (T, m) array of keys in its
+    universe and a block row count, which may leave a ragged last block."""
     n = draw(st.integers(1, 12))
     if draw(st.booleans()):
         h = HashModel.identity(n)
     else:
         h = HashModel.from_table(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40)), n)
-    rows, m = draw(st.integers(1, 6)), draw(st.integers(0, 30))
-    keys = draw(st.lists(st.integers(0, h.universe - 1), min_size=rows * m, max_size=rows * m))
-    return h, np.array(keys, dtype=np.int64).reshape(rows, m)
+    trials, m = draw(st.integers(1, 7)), draw(st.integers(0, 30))
+    keys = draw(st.lists(st.integers(0, h.universe - 1), min_size=trials * m, max_size=trials * m))
+    return h, np.array(keys, dtype=np.int64).reshape(trials, m), draw(st.integers(1, trials))
+
+
+def assert_equals_checked(k, counts):
+    """``k`` equals ``SlotCounts(counts)`` in counts bytes and in m, an int, and is read-only."""
+    expected = SlotCounts(counts)
+    assert k.counts.dtype == np.int64 and k.counts.tobytes() == expected.counts.tobytes()
+    assert type(k.m) is int and k.m == expected.m
+    assert not k.counts.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=key_blocks())
 def test_property_block_rows_equal_count_slots(case):
-    h, keys = case
-    counts = block_slot_counts(keys, h)
-    assert counts.shape == (len(keys), h.slots) and counts.dtype == np.int64
-    for row, k in zip(keys, counts):
-        assert np.array_equal(k, count_slots(KeySequence(row, h.universe), h).counts)
+    # Differential gate: the package's unchecked counts (block rows, count_slots,
+    # distinct_counts) equal the checked SlotCounts of a plain bincount.
+    h, keys, rows = case
+    blocks = [block_slot_counts(keys[i : i + rows], h) for i in range(0, len(keys), rows)]
+    assert sum(map(len, blocks)) == len(keys)
+    for row, k in zip(keys, itertools.chain(*blocks)):
+        x = KeySequence(row, h.universe)
+        assert_equals_checked(k, np.bincount(h.slots_of(row), minlength=h.slots))
+        assert_equals_checked(count_slots(x, h), np.bincount(h.slots_of(row), minlength=h.slots))
+        distinct = np.bincount(h.slots_of(np.unique(row)), minlength=h.slots)
+        assert_equals_checked(distinct_counts(x, h), distinct)
+
+
+# Each array constructor, with the message it gives each kind of bad input (None: accepted).
+KEY_RANGE = "key index out of range for universe size 10"
+ARRAY_CONSTRUCTORS = {
+    "keys": (lambda values: KeySequence(values, 10), dict(
+        integral="keys must be integers", range=KEY_RANGE, negative=KEY_RANGE,
+        shape="keys must be a 1-d sequence", empty=None)),
+    "counts": (SlotCounts, dict(
+        integral="counts must be integers", range="counts must lie in [0, 2**63)",
+        negative="counts must be nonnegative", shape="counts must be a nonempty 1-d sequence",
+        empty="counts must be a nonempty 1-d sequence")),
+    "table": (lambda values: HashModel.from_table(values, 10), dict(
+        integral="table entries must be integers", range="table entries must lie in [0, n)",
+        negative="table entries must lie in [0, n)", shape="table must be a nonempty 1-d sequence",
+        empty="table must be a nonempty 1-d sequence")),
+}
+
+
+@pytest.mark.parametrize("what", sorted(ARRAY_CONSTRUCTORS))
+@pytest.mark.parametrize(
+    "values, fault",
+    [
+        ([1.5, 2.0], "integral"), ([np.nan, 2.0], "integral"), ([1e300, 2.0], "range"),
+        ([-1e300, 2.0], "range"), ([-1.0, 2.0], "range"),
+        (np.array([2**63, 2], dtype=np.uint64), "range"), ([True, False], "integral"),
+        ([[1, 2]], "shape"), ([], "empty"), (np.array([2, -1]), "negative"),
+    ],
+    ids=["1.5", "nan", "1e300", "-1e300", "-1.0", "uint64-2**63", "bool", "2-d", "empty", "-1"],
+)
+def test_array_constructors_name_each_bad_input(what, values, fault):
+    make, messages = ARRAY_CONSTRUCTORS[what]
+    if messages[fault] is None:
+        assert len(make(values).keys) == 0
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(messages[fault])}$"):
+        make(values)
