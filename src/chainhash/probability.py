@@ -131,21 +131,28 @@ def _int64_entries(arr: np.ndarray, limit: int, what: str, out_of_range: str, ne
     """A new int64 copy of the 1-d array ``arr``, whose entries must be integers in [0, limit).
 
     A fractional, non-finite, bool or non-numeric entry raises "<what> must be
-    integers"; an entry outside [0, limit) raises ``out_of_range``.  Float and
-    unsigned entries are range-checked before the cast: 1e300 and uint64 2**63
-    have no int64 value.  The copy is checked on its uint64 view, where a
-    negative entry reads as 2**63 or more; ``negative``, where given with
-    ``limit`` = 2**63, is the message for those, the only ones it can catch.
+    integers"; an entry outside [0, limit) raises ``out_of_range``.  Float,
+    unsigned and Python-int (object) entries are range-checked before the
+    cast: 1e300, uint64 2**63 and 2**64 have no int64 value.  The copy is
+    checked on its uint64 view, where a negative entry reads as 2**63 or
+    more; ``negative``, where given with ``limit`` = 2**63, is the message
+    for those and for negative Python ints.
     """
     kind = arr.dtype.kind
     if kind == "f":
         integral = np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
+    elif kind == "O":  # np.asarray keeps ints beyond 64 bits as Python ints
+        integral = all(isinstance(v, int) and not isinstance(v, bool) for v in arr)
     else:
         integral = kind in "iu"
     if not integral:
         raise ValueError(f"{what} must be integers")
-    if kind in "fu" and not 0 <= arr.min(initial=0).item() <= arr.max(initial=0).item() < limit:
-        raise ValueError(out_of_range)
+    if kind in "fuO":
+        low, high = int(arr.min(initial=0)), int(arr.max(initial=0))
+        if low < 0 and kind == "O":
+            raise ValueError(negative or out_of_range)
+        if not 0 <= low <= high < limit:
+            raise ValueError(out_of_range)
     arr = arr.astype(np.int64)  # always a copy: a later write by the caller skips no check
     if int(arr.view(np.uint64).max(initial=0)) >= limit:
         raise ValueError(negative or out_of_range)
@@ -344,8 +351,6 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, words: np.ndarray) -> np.
     entry = guide.take(bucket, mode="wrap")  # every bucket is below K: skip the bounds check
     wide = np.flatnonzero(entry < 0)
     idx = entry.astype(np.int64)
-    if not wide.size:
-        return idx
     draw = ~idx.take(wide)  # the bucket's start
     t = rng.unit_doubles(rng.finish(words.take(wide))) * cdf[-1]
     ahead = np.flatnonzero(cdf.take(draw) <= t)

@@ -41,11 +41,10 @@ _M2 = 0x94D049BB133111EB
 # The same constants as uint64 scalars, made once instead of per call.
 _GOLDEN64, _M1_64, _M2_64 = np.uint64(GOLDEN), np.uint64(_M1), np.uint64(_M2)
 _S11, _S27, _S30, _S31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
-# Streams longer than _CHUNK are computed _CHUNK columns at a time, so the
-# finalizer's passes stay in cache: 2**20 outputs of one seed took 6-7 ms in
-# 2**14-column chunks against 15-19 ms in one pass, whose passes each move
-# 8 MiB (2-CPU Xeon, numpy 2.4).  Trial streams (at most 10**4 outputs per
-# row) stay one pass.
+# Streams are computed _CHUNK columns at a time, so the finalizer's passes
+# stay in cache: 2**20 outputs of one seed took 6-7 ms in 2**14-column chunks
+# against 15-19 ms in one pass, whose passes each move 8 MiB (2-CPU Xeon,
+# numpy 2.4).  A stream of at most _CHUNK words is one chunk.
 _CHUNK = 2**14
 
 
@@ -71,7 +70,13 @@ def stream_uint64(seed, count: int, offset: int = 0) -> np.ndarray:
 
 
 def premixed(seed, count: int, offset: int = 0) -> np.ndarray:
-    """The words of :func:`stream_uint64` before its last step, ``z ^= z >> 31``."""
+    """The words of :func:`stream_uint64` before its last step, ``z ^= z >> 31``.
+
+    Each chunk of columns is written straight into the output: the lattice
+    ``(i+1)*GOLDEN`` of the chunk plus the column of scrambled seeds, then
+    the finalizer in place.  Beside the output, a call holds one lattice
+    chunk and one chunk of scratch per seed.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     scalar = isinstance(seed, (int, np.integer))
@@ -86,13 +91,12 @@ def premixed(seed, count: int, offset: int = 0) -> np.ndarray:
     else:
         origins = finish(_premix(np.array(seeds, dtype=np.uint64)))
     origins = origins[:, None]
-    if count <= _CHUNK:
-        z = _premixed(origins, offset, count)
-    else:
-        z = np.empty((origins.size, count), dtype=np.uint64)
-        for start in range(0, count, _CHUNK):
-            stop = min(start + _CHUNK, count)
-            z[:, start:stop] = _premixed(origins, offset + start, stop - start)
+    z = np.empty((origins.size, count), dtype=np.uint64)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        lattice = np.arange(offset + start + 1, offset + stop + 1, dtype=np.uint64)
+        lattice *= _GOLDEN64
+        _premix(np.add(lattice, origins, out=z[:, start:stop]))
     return z[0] if scalar else z
 
 
@@ -102,19 +106,6 @@ def finish(z: np.ndarray) -> np.ndarray:
         part = z[..., start : start + _CHUNK]
         part ^= part >> _S31
     return z
-
-
-def _premixed(origins: np.ndarray, offset: int, count: int) -> np.ndarray:
-    """Premixed words ``offset .. offset+count-1`` for a column of scrambled seeds.
-
-    The lattice ``(i+1)*GOLDEN`` is computed once and the column is added to
-    it.  The finalizer runs in place with one scratch array, so one seed
-    holds two ``count``-long arrays at most.
-    """
-    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)[None]
-    z *= _GOLDEN64
-    # One seed adds its origin in place; more broadcast into a new block.
-    return _premix(np.add(z, origins, out=z if origins.size == 1 else None))
 
 
 def _premix(z: np.ndarray) -> np.ndarray:

@@ -492,3 +492,24 @@ def test_array_constructors_name_each_bad_input(what, values, fault):
         return
     with pytest.raises(ValueError, match=f"^{re.escape(messages[fault])}$"):
         make(values)
+
+
+@pytest.mark.parametrize("what", sorted(ARRAY_CONSTRUCTORS))
+@pytest.mark.parametrize(
+    "values, fault",
+    [([2**64, 1], "range"), ([-(2**64), 1], "negative"), ([1, 2**70], "range")],
+    ids=["2**64", "-2**64", "2**70"],
+)
+def test_integers_beyond_64_bits_get_the_range_message(what, values, fault):
+    # np.asarray keeps them as Python ints in an object array: integers, out of range.
+    make, messages = ARRAY_CONSTRUCTORS[what]
+    assert np.asarray(values).dtype == object
+    with pytest.raises(ValueError, match=f"^{re.escape(messages[fault])}$"):
+        make(values)
+
+
+@pytest.mark.parametrize("what", sorted(ARRAY_CONSTRUCTORS))
+def test_object_arrays_of_small_ints_are_read_as_int64(what):
+    make, _ = ARRAY_CONSTRUCTORS[what]
+    entries = getattr(make(np.array([3, 1], dtype=object)), what)
+    assert entries.dtype == np.int64 and entries.tolist() == [3, 1]

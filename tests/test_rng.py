@@ -1,6 +1,8 @@
 """The vectorized stream must match an independent scalar transcription
 of the documented algorithm, output for output."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,19 @@ def test_chunked_and_single_pass_streams_agree():
     chunked = rng.stream_uint64(9, edge + 1, offset=11)
     assert np.array_equal(chunked[:edge], one_pass)
     assert np.array_equal(rng.stream_uint64(9, 1, offset=11 + edge), chunked[edge:])
+
+
+def test_long_streams_hold_a_chunk_of_scratch_per_row():
+    # Each chunk is written straight into the output: beside it, a call holds
+    # one lattice chunk and one finalizer scratch chunk per row, and no copy.
+    seeds, count = [1, 2, 3], 2 * rng._CHUNK + 17
+    tracemalloc.start()
+    try:
+        words = rng.premixed(seeds, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - words.nbytes <= (len(seeds) + 2) * rng._CHUNK * words.itemsize
 
 
 @pytest.mark.parametrize("seed", [3, [0, 3, MASK]])
