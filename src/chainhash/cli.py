@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from typing import Any
 
 from . import bounds, experiments, rng, search_time
@@ -89,6 +90,26 @@ def _flag(dest: str) -> str:
     return "--" + _FLAG_NAMES.get(dest, dest.replace("_", "-"))
 
 
+# The closed-form commands, each with its help and its forms: (function,
+# parameter names) entries as in experiments.BOUNDS, each parameter a flag.
+# A command whose one form is keyed None takes no --form.
+_CLOSED_FORMS = {
+    "bound": ("evaluate a closed-form deviation bound", {
+        **experiments.BOUNDS["collision"],
+        "params": (bounds.params_from_load, ("n", "L", "epsilon"))}),
+    "ast-bound": ("evaluate a search-time tail bound", {
+        name.removesuffix("-form"): entry for name, entry in experiments.BOUNDS["ast"].items()}),
+    "combined-query": ("search-time bound for a two-pattern combined lookup", {
+        None: (search_time.combined_query_bound, ("c", "alpha", "alpha2", "epsilon", "L"))}),
+}
+
+
+def _form_params(forms) -> dict[str, bool]:
+    """Each parameter of ``forms`` in first-use order: True where every form takes it."""
+    params = [names for _, names in forms.values()]
+    return {name: all(name in names for names in params) for names in params for name in names}
+
+
 def _call(args, entry, needs: str, **supplied):
     """Call a ``(builder, params)`` entry on the flags whose dests are its params.
 
@@ -138,25 +159,20 @@ def _check_flags(args) -> None:
                 raise ValueError(f"{_flag(dest)} must be finite, got {x}")
 
 
-def _print_call(args, entry, needs: str) -> int:
-    """Print the fields of ``_call(args, entry, needs)``."""
+def _print_form(forms, args) -> int:
+    """Print the fields of the form ``--form`` chose (or of the one form, keyed None).
+    A flag of another form is a usage error."""
+    form = getattr(args, "form", None)
+    entry = forms[form]
+    needs = args.command if form is None else f"--form {form}"
+    for name in _form_params(forms):
+        if name not in entry[1] and getattr(args, name) is not None:
+            raise UsageError(f"{needs} takes no {_flag(name)}")
     result = _call(args, entry, needs)
     # BoundParams spells its lambda field `lam`, as `lambda` is a Python keyword.
     pairs = [("lambda" if key == "lam" else key, value) for key, value in asdict(result).items()]
     _print_fields(pairs, args.json)
     return 0
-
-
-def cmd_bound(args) -> int:
-    if args.form == "params":
-        entry = (bounds.params_from_load, ("n", "L", "epsilon"))
-    else:
-        entry = experiments.BOUNDS["collision"][args.form]
-    return _print_call(args, entry, f"--form {args.form}")
-
-
-def cmd_ast_bound(args) -> int:
-    return _print_call(args, experiments.BOUNDS["ast"][f"{args.form}-form"], f"--form {args.form}")
 
 
 def cmd_restricted_access(args) -> int:
@@ -247,29 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("bound", help="evaluate a closed-form deviation bound")
-    p.add_argument("--form", choices=[*experiments.BOUNDS["collision"], "params"], required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float, dest="epsilon", metavar="EPS")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--lambda", type=float, metavar="LAM")
-    p.add_argument("--load", type=float, dest="L", metavar="LOAD")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("ast-bound", help="evaluate a search-time tail bound")
-    ast_forms = [name.removesuffix("-form") for name in experiments.BOUNDS["ast"]]
-    p.add_argument("--form", choices=ast_forms, required=True)
-    p.add_argument("--load", type=float, dest="L", metavar="LOAD", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v-norm", type=float, required=True)
-    p.add_argument("--p-norm", type=float, required=True)
-    p.add_argument("--s", type=float)
-    p.add_argument("--eps", type=float, dest="epsilon", metavar="EPS")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_ast_bound)
+    for command, (help_text, forms) in _CLOSED_FORMS.items():
+        p = sub.add_parser(command, help=help_text)
+        if None not in forms:
+            p.add_argument("--form", choices=forms, required=True)
+        for name, required in _form_params(forms).items():
+            p.add_argument(_flag(name), dest=name, type=int if name == "n" else float,
+                           required=required, metavar=_flag(name)[2:].upper())
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=partial(_print_form, forms))
 
     p = sub.add_parser(
         "restricted-access",
@@ -281,18 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", type=float, nargs="+", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_restricted_access)
-
-    p = sub.add_parser(
-        "combined-query", help="search-time bound for a two-pattern combined lookup"
-    )
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--alpha2", type=float, required=True)
-    p.add_argument("--eps", type=float, dest="epsilon", metavar="EPS", required=True)
-    p.add_argument("--load", type=float, dest="L", metavar="LOAD", required=True)
-    p.add_argument("--json", action="store_true")
-    combined = (search_time.combined_query_bound, ("c", "alpha", "alpha2", "epsilon", "L"))
-    p.set_defaults(func=lambda args: _print_call(args, combined, "combined-query"))
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment from a config file")
     p.add_argument("--config", required=True)

@@ -59,7 +59,8 @@ class HashModel:
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("table must be a nonempty 1-d sequence")
         _check_size(raw.size, "universe size")
-        table = _int64_entries(raw, n, "table entries", "table entries must lie in [0, n)")
+        table = _int64_entries(raw, n, "table entries", "table entries must lie in [0, n)",
+                               given=table)
         return cls(table, raw.size, n)
 
     @classmethod
@@ -106,7 +107,7 @@ class HashModel:
             entries = [int(line.strip()) for line in lines]
         except ValueError as exc:
             raise ValueError(f"table file {path!r} has a non-integer line") from exc
-        return cls.from_table(entries, n)
+        return cls.from_table(np.asarray(entries), n)  # an ndarray is not searched for bools
 
     @property
     def universe(self) -> int:
@@ -141,7 +142,7 @@ class SlotCounts:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("counts must be a nonempty 1-d sequence")
         arr = _int64_entries(arr, 2**63, "counts", "counts must lie in [0, 2**63)",
-                             "counts must be nonnegative")
+                             "counts must be nonnegative", given=counts)
         if int(arr.max()) <= (2**63 - 1) // arr.size:  # no total can wrap
             m = int(arr.sum())
         else:

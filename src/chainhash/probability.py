@@ -28,8 +28,6 @@ import numpy as np
 
 from . import rng
 
-SUM_TOL = 1e-12
-
 # Guide-table buckets: a power of two, four per outcome up to 2**16 outcomes
 # and one per outcome above, capped at 2**20 so that the int32 table holds
 # 4 MiB plus one entry.  Fewer draws then land in a bucket that holds a cdf
@@ -127,16 +125,19 @@ def _check_integer(value, what: str) -> int:
     return int(value)
 
 
-def _int64_entries(arr: np.ndarray, limit: int, what: str, out_of_range: str, negative=None):
-    """A new int64 copy of the 1-d array ``arr``, whose entries must be integers in [0, limit).
+def _int64_entries(arr: np.ndarray, limit: int, what: str, out_of_range: str, negative=None,
+                   *, given):
+    """A new int64 copy of the 1-d array ``arr`` = ``np.asarray(given)``, whose
+    entries must be integers in [0, limit).
 
     A fractional, non-finite, bool or non-numeric entry raises "<what> must be
-    integers"; an entry outside [0, limit) raises ``out_of_range``.  Float,
-    unsigned and Python-int (object) entries are range-checked before the
-    cast: 1e300, uint64 2**63 and 2**64 have no int64 value.  The copy is
-    checked on its uint64 view, where a negative entry reads as 2**63 or
-    more; ``negative``, where given with ``limit`` = 2**63, is the message
-    for those and for negative Python ints.
+    integers".  numpy reads a bool among the ints of a sequence as 0 or 1, so
+    such a ``given`` is searched for one; an ndarray ``given`` takes no pass.
+    An entry outside [0, limit) raises ``out_of_range``, or ``negative``, where
+    given with ``limit`` = 2**63, for a negative one.  Float, unsigned and
+    Python-int (object) entries are range-checked before the cast: 1e300,
+    uint64 2**63 and 2**64 have no int64 value.  The copy is checked on its
+    uint64 view, where a negative entry reads as 2**63 or more.
     """
     kind = arr.dtype.kind
     if kind == "f":
@@ -144,14 +145,15 @@ def _int64_entries(arr: np.ndarray, limit: int, what: str, out_of_range: str, ne
     elif kind == "O":  # np.asarray keeps ints beyond 64 bits as Python ints
         integral = all(isinstance(v, int) and not isinstance(v, bool) for v in arr)
     else:
-        integral = kind in "iu"
+        integral = kind in "iu" and (isinstance(given, np.ndarray)
+                                     or not any(isinstance(v, (bool, np.bool_)) for v in given))
     if not integral:
         raise ValueError(f"{what} must be integers")
     if kind in "fuO":
         low, high = int(arr.min(initial=0)), int(arr.max(initial=0))
-        if low < 0 and kind == "O":
+        if low < 0:
             raise ValueError(negative or out_of_range)
-        if not 0 <= low <= high < limit:
+        if high >= limit:
             raise ValueError(out_of_range)
     arr = arr.astype(np.int64)  # always a copy: a later write by the caller skips no check
     if int(arr.view(np.uint64).max(initial=0)) >= limit:
@@ -172,7 +174,7 @@ class KeySequence:
         if arr.ndim != 1:
             raise ValueError("keys must be a 1-d sequence")
         out_of_range = f"key index out of range for universe size {universe}"
-        arr = _int64_entries(arr, min(universe, 2**63), "keys", out_of_range)
+        arr = _int64_entries(arr, min(universe, 2**63), "keys", out_of_range, given=keys)
         # np.bincount copies read-only input, so it reads this owner; nothing writes it.
         self._owner = arr
         self._keys = _read_only(arr)

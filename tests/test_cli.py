@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chainhash import experiments, rng
+from chainhash import cli, experiments, rng
 from chainhash.cli import build_parser, fmt, main
 from chainhash.hashing import MAX_SIZE, HashModel
 
@@ -352,6 +352,15 @@ def _missing_flag_cases():
             yield form, [*command, *flags[:i], *flags[i + 2:]], flags[i]
 
 
+def _foreign_flag_cases():
+    # Each form with the first flag that another form of its command takes and it does not.
+    for form, (command, flags, *_) in _BOUND_FORMS.items():
+        others = [f for other in _BOUND_FORMS.values() if other[0][0] == command[0]
+                  for f in other[1][::2]]
+        flag = next(f for f in others if f not in flags)
+        yield form, [*command, *flags, flag, "1"], flag
+
+
 class TestBoundTable:
     """Stdout and exit codes of `bound` and `ast-bound`, pinned form by form."""
 
@@ -372,6 +381,11 @@ class TestBoundTable:
         expected = f"usage error: --form {form} requires {flag}\n"
         assert run(capsys, *argv) == (2, "", expected)
 
+    @pytest.mark.parametrize("form, argv, flag", _foreign_flag_cases())
+    def test_flag_of_another_form_is_usage_error(self, capsys, form, argv, flag):
+        expected = f"usage error: --form {form} takes no {flag}\n"
+        assert run(capsys, *argv) == (2, "", expected)
+
     def test_form_choices_are_the_bound_table_names(self):
         subparsers = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -384,6 +398,42 @@ class TestBoundTable:
         assert form_choices("bound") == [*experiments.BOUNDS["collision"], "params"]
         ast_names = [f"{choice}-form" for choice in form_choices("ast-bound")]
         assert ast_names == list(experiments.BOUNDS["ast"])
+
+
+def _subparsers():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# The parameter flags of each closed-form command, and the ones it requires.
+_CLOSED_FORM_FLAGS = {
+    "bound": ({"--n", "--eps", "--delta", "--s", "--beta", "--lambda", "--load"}, set()),
+    "ast-bound": ({"--load", "--n", "--v-norm", "--p-norm", "--s", "--eps"},
+                  {"--load", "--n", "--v-norm", "--p-norm"}),
+    "combined-query": ({"--c", "--alpha", "--alpha2", "--eps", "--load"},
+                       {"--c", "--alpha", "--alpha2", "--eps", "--load"}),
+}
+
+
+@pytest.mark.parametrize("command", cli._CLOSED_FORMS)
+def test_closed_form_flags_are_the_parameters_of_its_forms(command):
+    _, forms = cli._CLOSED_FORMS[command]
+    params = [names for _, names in forms.values()]
+    union = {name for names in params for name in names}
+    actions = [a for a in _subparsers().choices[command]._actions if a.dest in union]
+    assert {a.option_strings[0]: a.dest for a in actions} == {cli._flag(n): n for n in union}
+    for a in actions:
+        assert a.required == all(a.dest in names for names in params), a.dest
+    assert {a.option_strings[0] for a in actions} == _CLOSED_FORM_FLAGS[command][0]
+    assert {a.option_strings[0] for a in actions if a.required} == _CLOSED_FORM_FLAGS[command][1]
+    others = {a.dest for a in _subparsers().choices[command]._actions} - union
+    assert others == ({"help", "json"} if None in forms else {"help", "form", "json"})
+
+
+@pytest.mark.parametrize("command", list(_subparsers().choices))
+def test_help_exits_zero(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: chainhash {command} ")
 
 
 @pytest.mark.parametrize(

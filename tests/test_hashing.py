@@ -235,7 +235,8 @@ class TestSlotCounts:
     @pytest.mark.parametrize("bad", [1e300, -1e300, 2.0**63, -(2.0**63), -1.0])
     def test_float_counts_outside_int64_rejected(self, bad):
         # Checked before the int64 cast: 1e300 has no int64 value and would warn there.
-        with pytest.raises(ValueError, match=r"counts must lie in \[0, 2\*\*63\)"):
+        message = "counts must be nonnegative" if bad < 0 else r"counts must lie in \[0, 2\*\*63\)"
+        with pytest.raises(ValueError, match=message):
             SlotCounts(np.array([bad, 2.0]))
 
     def test_largest_float_below_2_63_accepted(self):
@@ -479,11 +480,13 @@ ARRAY_CONSTRUCTORS = {
     "values, fault",
     [
         ([1.5, 2.0], "integral"), ([np.nan, 2.0], "integral"), ([1e300, 2.0], "range"),
-        ([-1e300, 2.0], "range"), ([-1.0, 2.0], "range"),
+        ([-1e300, 2.0], "negative"), ([-1.0, 2.0], "negative"),
         (np.array([2**63, 2], dtype=np.uint64), "range"), ([True, False], "integral"),
-        ([[1, 2]], "shape"), ([], "empty"), (np.array([2, -1]), "negative"),
+        ([2, True], "integral"), ([[1, 2]], "shape"), ([], "empty"),
+        (np.array([2, -1]), "negative"),
     ],
-    ids=["1.5", "nan", "1e300", "-1e300", "-1.0", "uint64-2**63", "bool", "2-d", "empty", "-1"],
+    ids=["1.5", "nan", "1e300", "-1e300", "-1.0", "uint64-2**63", "bool", "bool-among-ints",
+         "2-d", "empty", "-1"],
 )
 def test_array_constructors_name_each_bad_input(what, values, fault):
     make, messages = ARRAY_CONSTRUCTORS[what]
@@ -506,6 +509,19 @@ def test_integers_beyond_64_bits_get_the_range_message(what, values, fault):
     assert np.asarray(values).dtype == object
     with pytest.raises(ValueError, match=f"^{re.escape(messages[fault])}$"):
         make(values)
+
+
+class _NoIteration(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("an array's entries were iterated in Python")
+
+
+@pytest.mark.parametrize("what", sorted(ARRAY_CONSTRUCTORS))
+def test_an_int64_array_is_not_searched_for_bools(what):
+    # Only a sequence can hide a bool among ints; the trial loop passes int64 rows.
+    make, _ = ARRAY_CONSTRUCTORS[what]
+    entries = getattr(make(np.array([3, 1]).view(_NoIteration)), what)
+    assert entries.tolist() == [3, 1]
 
 
 @pytest.mark.parametrize("what", sorted(ARRAY_CONSTRUCTORS))
