@@ -110,16 +110,22 @@ def _form_params(forms) -> dict[str, bool]:
     return {name: all(name in names for names in params) for names in params for name in names}
 
 
-def _call(args, entry, needs: str, **supplied):
-    """Call a ``(builder, params)`` entry on the flags whose dests are its params.
+def _call(args, forms, form, needs: str, **supplied):
+    """Call the ``(builder, params)`` entry ``forms[form]`` on the flags whose dests
+    are its params.
 
+    A flag of another form is the usage error "<needs> takes no <flag>".
     ``supplied`` gives the figures no flag sets; an absent flag takes its
-    ``experiments._SPEC_DEFAULTS`` value, and a parameter with neither is the
-    usage error "<needs> requires <flag>".
+    ``experiments._SPEC_DEFAULTS`` value (``--alpha`` 0.1, which a config
+    requires), and a parameter with neither is the usage error
+    "<needs> requires <flag>".
     """
-    fn, params = entry
+    fn, params = forms[form]
+    for name in _form_params(forms):
+        if name not in params and getattr(args, name, None) is not None:
+            raise UsageError(f"{needs} takes no {_flag(name)}")
     flags = {dest: value for dest, value in vars(args).items() if value is not None}
-    values = {**experiments._SPEC_DEFAULTS, **flags, **supplied}
+    values = {**experiments._SPEC_DEFAULTS, "alpha": 0.1, **flags, **supplied}
     missing = [name for name in params if name not in values]
     if missing:
         raise UsageError(f"{needs} requires {_flag(missing[0])}")
@@ -128,10 +134,9 @@ def _call(args, entry, needs: str, **supplied):
 
 def cmd_estimate(args) -> int:
     m = _resolve_m(args)
-    h = _call(args, experiments.SPECS["hash"][args.hash], f"--hash {args.hash}")
-    q = _call(
-        args, experiments.SPECS["distribution"][args.dist], f"--dist {args.dist}", size=h.universe
-    )
+    h = _call(args, experiments.SPECS["hash"], args.hash, f"--hash {args.hash}")
+    q = _call(args, experiments.SPECS["distribution"], args.dist, f"--dist {args.dist}",
+              size=h.universe)
     x = sample(q, args.key_seed, m)
     est = empirical_collision_probability(count_slots(x, h))
     p_norm_sq = norm_sq(slot_probabilities(q, h))
@@ -160,15 +165,9 @@ def _check_flags(args) -> None:
 
 
 def _print_form(forms, args) -> int:
-    """Print the fields of the form ``--form`` chose (or of the one form, keyed None).
-    A flag of another form is a usage error."""
+    """Print the fields of the form ``--form`` chose (or of the one form, keyed None)."""
     form = getattr(args, "form", None)
-    entry = forms[form]
-    needs = args.command if form is None else f"--form {form}"
-    for name in _form_params(forms):
-        if name not in entry[1] and getattr(args, name) is not None:
-            raise UsageError(f"{needs} takes no {_flag(name)}")
-    result = _call(args, entry, needs)
+    result = _call(args, forms, form, args.command if form is None else f"--form {form}")
     # BoundParams spells its lambda field `lam`, as `lambda` is a Python keyword.
     pairs = [("lambda" if key == "lam" else key, value) for key, value in asdict(result).items()]
     _print_fields(pairs, args.json)
@@ -217,7 +216,8 @@ def cmd_perturbation_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     mode = "identity" if args.universe is None else "random-table"
-    h = _call(args, experiments.SPECS["hash"][mode], "perturbation-check")
+    needs = "perturbation-check" + (" without --universe" if args.universe is None else "")
+    h = _call(args, experiments.SPECS["hash"], mode, needs)
     q = make_uniform(h.universe)
     violations = 0
     for t in range(args.trials):
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_dist_flags(p):
         p.add_argument("--dist", choices=experiments.SPECS["distribution"], default="uniform")
         p.add_argument("--zipf-exp", type=float, dest="exponent", metavar="ZIPF_EXP")
-        p.add_argument("--alpha", type=float, default=0.1)
+        p.add_argument("--alpha", type=float)
 
     def add_hash_flags(p):
         p.add_argument("--hash", choices=experiments.SPECS["hash"], default="identity")

@@ -39,6 +39,7 @@ from .probability import (
     KeySequence,
     _check_integer,
     ProbabilityVector,
+    guide_table,
     make_point_mass,
     make_restricted_uniform,
     make_uniform,
@@ -367,17 +368,16 @@ def resolve_ast_bound(
     )
 
 
-def _run_trials(q: ProbabilityVector, m: int, trials: int, base_seed: int, measure, kept: int):
+def _run_trials(cdf, guide, m: int, trials: int, base_seed: int, measure, kept: int):
     """Draw and measure every trial; returns (value stats, violations, rows).
 
-    Trial t samples m keys from ``q`` with the seed ``trial_seed(base_seed, t)``.
-    Consecutive trials are sampled a block at a time (see ``_BLOCK_DRAWS``),
-    one key row per trial, and ``measure`` takes the block and yields each
-    row's (value, aux, violation) in trial order; ``rows`` lists those of the
-    first ``kept`` trials.  A kind that aggregates its aux figure does so in
-    its ``measure``.
+    Trial t samples m keys from ``cdf`` (through ``guide``, its :func:`guide_table`)
+    with the seed ``trial_seed(base_seed, t)``.  Consecutive trials are sampled
+    a block at a time (see ``_BLOCK_DRAWS``), one key row per trial, and
+    ``measure`` takes the block and yields each row's (value, aux, violation)
+    in trial order; ``rows`` lists those of the first ``kept`` trials.  A kind
+    that aggregates its aux figure does so in its ``measure``.
     """
-    cdf, guide = q.cdf, q.guide
     block = max(1, _BLOCK_DRAWS // m)
     stats, violations, rows = _Welford(), 0, []
     for start in range(0, trials, block):
@@ -402,7 +402,8 @@ def _run(cfg: ExperimentConfig, kind: str, setup) -> ExperimentReport:
     ``setup(h, q)`` returns what belongs to the kind: its bound's label and
     value, its ``measure`` (see :func:`_run_trials`), the record field of its
     aux figure, and a callable that gives its extra aggregates once every
-    trial has run.
+    trial has run.  None of these may hold ``q``: the trials read only its
+    cdf, so its weights (8 bytes per key) are freed before the guide is built.
     """
     if cfg.kind != kind:
         raise ValueError(f"config kind must be {kind!r}")
@@ -410,8 +411,13 @@ def _run(cfg: ExperimentConfig, kind: str, setup) -> ExperimentReport:
     h = hash_from_spec(cfg.hash_spec, cfg.n)
     q = distribution_from_spec(cfg.distribution, h.universe)
     label, bound, measure, aux_field, extra = setup(h, q)
+    cdf = q.cdf
+    del q  # frees the weights, so that the guide does not raise set-up's peak
+    guide = guide_table(cdf)
     kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
-    stats, violations, rows = _run_trials(q, cfg.m, cfg.trials, cfg.base_seed, measure, kept)
+    stats, violations, rows = _run_trials(
+        cdf, guide, cfg.m, cfg.trials, cfg.base_seed, measure, kept
+    )
     values = dict(trials=cfg.trials, mean=stats.mean, sample_std=stats.sample_std,
                   violations=violations, violation_frequency=violations / cfg.trials, **extra())
     aggregates = {key: values[key] for key in _AGGREGATES if key in values}
@@ -464,7 +470,7 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
 
         def measure(keys):
             for row in keys:
-                x = KeySequence(row, len(q))
+                x = KeySequence(row, h.universe)
                 upper = search_time.search_time_upper(v, count_slots(x, h))
                 ast = search_time.average_search_time(v, x, h)
                 exact.add(ast)

@@ -58,7 +58,7 @@ def unbiasedness_check(dist, h, m: int, trials: int, base_seed: int) -> Unbiased
             est = empirical_collision_probability(k)
             yield est.empirical_cp, relative_error(est, p_norm_sq), False
 
-    stats = experiments._run_trials(dist, m, trials, base_seed, measure, 0)[0]
+    stats = experiments._run_trials(dist.cdf, dist.guide, m, trials, base_seed, measure, 0)[0]
     std = stats.sample_std
     return UnbiasednessResult(
         sample_mean=stats.mean,

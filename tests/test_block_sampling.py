@@ -44,7 +44,7 @@ def blocked_keys(monkeypatch, q, m, trials, base_seed, block_draws):
             seen.append(row.copy())
             yield 0.0, 0.0, False
 
-    experiments._run_trials(q, m, trials, base_seed, measure, 0)
+    experiments._run_trials(q.cdf, q.guide, m, trials, base_seed, measure, 0)
     return seen, calls
 
 

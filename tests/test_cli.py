@@ -928,6 +928,47 @@ def test_every_spec_key_without_a_default_has_an_estimate_flag(kind, name):
     assert needed <= _dests("estimate")
 
 
+_ESTIMATE = ["estimate", "--n", "16", "--m", "40"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ([*_ESTIMATE, "--universe", "100"], "--hash identity takes no --universe"),
+        ([*_ESTIMATE, "--table-seed", "5"], "--hash identity takes no --table-seed"),
+        ([*_ESTIMATE, "--hash", "table-file", "--table-file", "t.txt", "--universe", "5"],
+         "--hash table-file takes no --universe"),
+        ([*_ESTIMATE, "--dist", "uniform", "--zipf-exp", "3"],
+         "--dist uniform takes no --zipf-exp"),
+        ([*_ESTIMATE, "--dist", "zipf", "--alpha", "0.3"], "--dist zipf takes no --alpha"),
+        (["perturbation-check", "--n", "16", "--m", "10", "--trials", "3", "--table-seed", "9"],
+         "perturbation-check without --universe takes no --table-seed"),
+    ],
+)
+def test_flag_the_chosen_mode_does_not_take_is_usage_error(capsys, no_stream, argv, error):
+    # The flag would be ignored: the run would not be the one the command line names.
+    assert run(capsys, *argv) == (2, "", f"usage error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--hash", "random-table", "--universe", "100", "--table-seed", "5"],
+        ["--dist", "zipf", "--zipf-exp", "3"],
+        ["--dist", "restricted", "--alpha", "0.5"],
+        ["--dist", "pointmass"],
+    ],
+)
+def test_flags_the_chosen_mode_takes_run(capsys, flags):
+    code, out, err = run(capsys, *_ESTIMATE, *flags)
+    assert (code, err) == (0, "") and out.startswith("empirical_cp ")
+
+
+def test_restricted_alpha_defaults_to_one_tenth(capsys):
+    argv = [*_ESTIMATE, "--dist", "restricted"]
+    assert run(capsys, *argv) == run(capsys, *argv, "--alpha", "0.1")
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["bogus-command"]) == 2
     assert main([]) == 2

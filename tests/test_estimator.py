@@ -52,6 +52,16 @@ class TestCollisionPairs:
     def test_exact_on_large_counts(self, counts):
         assert collision_pairs(SlotCounts(counts)) == sum(k * (k - 1) // 2 for k in counts)
 
+    # Random counts whose total m lies on either side of the guard m**2 < 2**63:
+    # up to 3037000499 the int64 vdot sums the squares, above it Python integers.
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 64), m=st.one_of(
+        st.integers(0, 3037000499), st.integers(3037000500, 2**63 - 1)))
+    def test_exact_on_both_sides_of_the_guard(self, data, n, m):
+        cuts = sorted(data.draw(st.lists(st.integers(0, m), min_size=n - 1, max_size=n - 1)))
+        counts = np.diff([0, *cuts, m]).tolist()
+        assert collision_pairs(SlotCounts(counts)) == sum(k * (k - 1) // 2 for k in counts)
+
 
 class TestEmpiricalCollisionProbability:
     def test_large_counts_do_not_wrap(self):

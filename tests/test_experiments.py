@@ -579,6 +579,24 @@ class TestLazyRecords:
         assert peak < 5.5 * 2**20, peak
 
 
+@pytest.mark.parametrize("make, trials", [(collision_config, 10), (ast_config, 4)])
+def test_big_universe_run_peaks_at_three_universe_arrays(make, trials):
+    # Zipf keys over U = 2**20 through a random table: the table, the key
+    # weights and their cdf take 8 MiB each, and set-up holds all three.  The
+    # trials read only the table, the cdf and its 4 MiB guide, so the weights
+    # must go before the guide is built; kept alive, they lift the peak to
+    # about 30 MiB.
+    cfg = make(n=64, m=6400, trials=trials, distribution={"name": "zipf", "exponent": 1.0},
+               hash={"mode": "random-table", "universe": 2**20, "seed": 108})
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20, peak
+
+
 class TestReservoir:
     """Runs past the record cap keep the records of their first trials."""
 

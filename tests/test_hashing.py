@@ -413,7 +413,7 @@ class TestBlockSlotCounts:
             blocks.append(block_slot_counts(keys, h))
             return [(0.0, 0.0, False)] * len(keys)
 
-        experiments._run_trials(q, m, trials, base_seed, measure, 0)
+        experiments._run_trials(q.cdf, q.guide, m, trials, base_seed, measure, 0)
         assert [len(b) for b in blocks] == [3, 3, 1]
         for t, k in enumerate(itertools.chain(*blocks)):
             keys = sample_from_cdf(q.cdf, rng.trial_seed(base_seed, t), m)
