@@ -4,7 +4,9 @@ Each function returns a :class:`DeviationBound`: a ceiling on the relative
 error of the empirical collision probability, together with a lower bound
 on the probability that the ceiling holds.  Two tail families are covered —
 a polynomial tail and a sub-gaussian tail — plus convenience forms of the
-gaussian one parametrized by load factor or by exponents.
+gaussian one parametrized by load factor or by exponents.  ``gaussian_tail``
+and ``check_n`` hold the gaussian family's failure term and its n > 24
+domain, which the search-time forms share.
 
 Preconditions are enforced strictly: the underlying inequalities are false
 outside their hypotheses, so out-of-range inputs raise ``ValueError`` naming
@@ -76,10 +78,10 @@ def _finish(error_bound: float, tail: float) -> DeviationBound:
 
 
 def _pow(base: float, exponent: float) -> float:
-    """base**exponent, or +inf where the result exceeds the double range
-    (Python raises there), so that a tail built from it is 0 and reads as underflow."""
+    """base**exponent in floats (even for an int exponent), or +inf above the double
+    range, where math.pow raises: a tail built from it is 0 and reads as underflow."""
     try:
-        return base**exponent
+        return math.pow(base, exponent)
     except OverflowError:
         return math.inf
 
@@ -92,6 +94,17 @@ def _require(cond: bool, message: str) -> None:
 def check_n_range(n: int) -> None:
     """Reject an n above the double range, where an int n overflows n**x."""
     _require(n <= sys.float_info.max, "n exceeds the double range (about 1.8e308)")
+
+
+def check_n(n: int) -> None:
+    """Require n > 24, the domain of every gaussian form, within the double range."""
+    _require(n > 24, "n must exceed 24")
+    check_n_range(n)
+
+
+def gaussian_tail(x: float) -> float:
+    """(10/9)*exp(-x), the failure term of every gaussian form: x = s**2/4 at margin s."""
+    return (10.0 / 9.0) * math.exp(-x)
 
 
 def polynomial_tail_bound(n: int, beta: float, lam: float) -> DeviationBound:
@@ -114,15 +127,14 @@ def gaussian_tail_bound(n: int, epsilon: float, delta: float, s: float) -> Devia
 
     with confidence 1 - (10/9) * exp(-s**2/4).
     """
-    _require(n > 24, "n must exceed 24")
-    check_n_range(n)
+    check_n(n)
     _require(0.0 < epsilon < 1.0 / 3.0, "epsilon must lie in (0, 1/3)")
     _require(delta > 0.0, "delta must be positive")
     _require(s >= 0.0, "s must be nonnegative")
     nd = _pow(n, delta)
     error = epsilon * (3.0 + 6.0 * s / math.sqrt(nd) + 5.0 * s * s * epsilon / nd)
     _require(not math.isnan(error), "s**2 and n**delta both exceed the double range")
-    return _finish(error, (10.0 / 9.0) * math.exp(-s * s / 4.0))
+    return _finish(error, gaussian_tail(s * s / 4.0))
 
 
 def simplified_gaussian_bound(n: int, epsilon: float, delta: float) -> DeviationBound:
@@ -132,11 +144,10 @@ def simplified_gaussian_bound(n: int, epsilon: float, delta: float) -> Deviation
     margin is eps*(15 + 20*eps) < 22*eps since eps < 1/3) and the confidence
     becomes 1 - (10/9)*exp(-n**delta).
     """
-    _require(n > 24, "n must exceed 24")
-    check_n_range(n)
+    check_n(n)
     _require(0.0 < epsilon < 1.0 / 3.0, "epsilon must lie in (0, 1/3)")
     _require(delta > 0.0, "delta must be positive")
-    return _finish(22.0 * epsilon, (10.0 / 9.0) * math.exp(-_pow(n, delta)))
+    return _finish(22.0 * epsilon, gaussian_tail(_pow(n, delta)))
 
 
 def load_factor_bound(epsilon: float, L: float) -> DeviationBound:
@@ -151,7 +162,7 @@ def load_factor_bound(epsilon: float, L: float) -> DeviationBound:
         L * epsilon * epsilon > 1.0 + _BOUNDARY_TOL,
         "load factor too small: requires 1/3 > epsilon > 1/sqrt(L)",
     )
-    return _finish(22.0 * epsilon, (10.0 / 9.0) * math.exp(-L * epsilon * epsilon))
+    return _finish(22.0 * epsilon, gaussian_tail(L * epsilon * epsilon))
 
 
 def exponent_form_bound(n: int, beta: float, lam: float) -> DeviationBound:
@@ -163,14 +174,10 @@ def exponent_form_bound(n: int, beta: float, lam: float) -> DeviationBound:
     for beta > log(3)/log(n) and lambda > 1/2 — same error shape as the
     polynomial bound, exponentially better tail.
     """
-    _require(n > 24, "n must exceed 24")
-    check_n_range(n)
+    check_n(n)
     _require(beta > math.log(3.0) / math.log(n), "beta must exceed log(3)/log(n)")
     _require(lam > 0.5, "lambda must exceed 1/2")
-    return _finish(
-        (22.0 / 5.0) * n ** (-beta / 2.0),
-        (10.0 / 9.0) * math.exp(-_pow(n, lam - 0.5)),
-    )
+    return _finish((22.0 / 5.0) * n ** (-beta / 2.0), gaussian_tail(_pow(n, lam - 0.5)))
 
 
 def params_from_load(n: int, L: float, epsilon: float) -> BoundParams:
@@ -179,8 +186,7 @@ def params_from_load(n: int, L: float, epsilon: float) -> BoundParams:
     Inverts m = eps**-2 * n**(1+delta): delta = log(L*eps**2)/log(n), and
     m = round(L*n).  Requires L*eps**2 > 1 strictly so delta > 0.
     """
-    _require(n > 24, "n must exceed 24")
-    check_n_range(n)
+    check_n(n)
     _require(0.0 < epsilon < 1.0 / 3.0, "epsilon must lie in (0, 1/3)")
     _require(L > 0.0, "L must be positive")
     c = L * epsilon * epsilon

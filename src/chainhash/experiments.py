@@ -255,6 +255,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         _check_keys(data, list(_CONFIG_FIELDS)[:8], _CONFIG_FIELDS, "config")
         return cls(**{field: data.get(key) for key, (field, _) in _CONFIG_FIELDS.items()})
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import check_n_range
+from .bounds import _require, check_n, gaussian_tail
 from .hashing import HashModel, SlotCounts, distinct_counts
 from .probability import KeySequence, ProbabilityVector
 
@@ -66,20 +66,23 @@ def search_time_upper(v: ProbabilityVector, k: SlotCounts) -> float:
     return float(np.dot(v.weights, k.counts))
 
 
-def _check_shared(L: float, n: int) -> None:
-    if n <= 24:
-        raise ValueError("n must exceed 24")
-    check_n_range(n)
-    if L <= 9.0:
-        raise ValueError("load factor L must exceed 9")
+def _check_shared(L: float, n: int, v_norm: float, p_norm: float) -> None:
+    check_n(n)
+    _check_load(L)
+    _require(0.0 < v_norm <= 1.0 + _NORM_TOL, "v_norm must lie in (0, 1]")
+    lo = 1.0 / math.sqrt(n) * (1.0 - _NORM_TOL)
+    _require(lo <= p_norm <= 1.0 + _NORM_TOL, "p_norm must lie in [1/sqrt(n), 1]")
 
 
-def _check_norms(n: int, v_norm: float, p_norm: float) -> None:
-    if not 0.0 < v_norm <= 1.0 + _NORM_TOL:
-        raise ValueError("v_norm must lie in (0, 1]")
-    lo = 1.0 / math.sqrt(n)
-    if not lo * (1.0 - _NORM_TOL) <= p_norm <= 1.0 + _NORM_TOL:
-        raise ValueError("p_norm must lie in [1/sqrt(n), 1]")
+def _check_load(L: float) -> None:
+    _require(L > 9.0, "load factor L must exceed 9")
+
+
+def _eps_tail(epsilon: float, L: float) -> float:
+    """The failure term (10/9)*exp(-L*eps**2) of every epsilon form, on their domain."""
+    _require(epsilon > 0.0, "epsilon must be positive")
+    _check_load(L)
+    return gaussian_tail(L * epsilon * epsilon)
 
 
 def search_time_bound_margin(
@@ -91,13 +94,11 @@ def search_time_bound_margin(
 
     with confidence 1 - (10/9)*exp(-s**2/4).
     """
-    _check_shared(L, n)
-    _check_norms(n, v_norm, p_norm)
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
+    _check_shared(L, n, v_norm, p_norm)
+    _require(s >= 0.0, "s must be nonnegative")
     radicand = 1.0 + (3.0 + 6.0 * s) / math.sqrt(L) + 5.0 * s * s / L
     value = L * n * v_norm * p_norm * math.sqrt(radicand) + 1.0
-    return SearchTimeBound(value, 1.0 - (10.0 / 9.0) * math.exp(-s * s / 4.0))
+    return SearchTimeBound(value, 1.0 - gaussian_tail(s * s / 4.0))
 
 
 def search_time_bound_eps(
@@ -110,12 +111,9 @@ def search_time_bound_eps(
 
     with confidence 1 - (10/9)*exp(-L*eps**2).
     """
-    _check_shared(L, n)
-    _check_norms(n, v_norm, p_norm)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    value = L * n * v_norm * p_norm * (1.0 + 8.0 * epsilon) + 1.0
-    return SearchTimeBound(value, 1.0 - (10.0 / 9.0) * math.exp(-L * epsilon * epsilon))
+    _check_shared(L, n, v_norm, p_norm)
+    tail = _eps_tail(epsilon, L)
+    return SearchTimeBound(L * n * v_norm * p_norm * (1.0 + 8.0 * epsilon) + 1.0, 1.0 - tail)
 
 
 def restricted_access_bound(c: float, alpha: float, epsilon: float, L: float) -> IntervalBound:
@@ -128,20 +126,11 @@ def restricted_access_bound(c: float, alpha: float, epsilon: float, L: float) ->
 
     with confidence 1 - (10/9)*exp(-L*eps**2).
     """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if L <= 9.0:
-        raise ValueError("load factor L must exceed 9")
+    _require(c > 0.0, "c must be positive")
+    _require(0.0 < alpha <= 1.0, "alpha must lie in (0, 1]")
+    tail = _eps_tail(epsilon, L)
     base = c * L / math.sqrt(alpha)
-    return IntervalBound(
-        center=base + 1.0,
-        halfwidth=base * 8.0 * epsilon,
-        confidence=1.0 - (10.0 / 9.0) * math.exp(-L * epsilon * epsilon),
-    )
+    return IntervalBound(center=base + 1.0, halfwidth=base * 8.0 * epsilon, confidence=1.0 - tail)
 
 
 def combined_query_bound(
@@ -155,13 +144,8 @@ def combined_query_bound(
 
     with confidence 1 - (20/9)*exp(-L*eps**2).
     """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    if not (0.0 < alpha1 <= 1.0 and 0.0 < alpha2 <= 1.0):
-        raise ValueError("alpha1 and alpha2 must lie in (0, 1]")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if L <= 9.0:
-        raise ValueError("load factor L must exceed 9")
+    _require(c > 0.0, "c must be positive")
+    _require(0.0 < alpha1 <= 1.0 and 0.0 < alpha2 <= 1.0, "alpha1 and alpha2 must lie in (0, 1]")
+    tail = 2.0 * _eps_tail(epsilon, L)
     value = c * L / math.sqrt(min(alpha1, alpha2)) * (1.0 + 8.0 * epsilon) + 1.0
-    return SearchTimeBound(value, 1.0 - (20.0 / 9.0) * math.exp(-L * epsilon * epsilon))
+    return SearchTimeBound(value, 1.0 - tail)

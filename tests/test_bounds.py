@@ -259,3 +259,38 @@ class TestSlotCountRange:
         spec = {"name": "polynomial", "beta": 1.0, "lambda": 1.0}
         with pytest.raises(ValueError, match=r"^n exceeds the double range"):
             resolve_collision_bound(spec, 10**400, 1000)
+
+
+class TestIntegerExponents:
+    """An int exponent reads as the same float: a power above the double range
+    is +inf (the tail is 0 and reads as underflow), not an exact int that
+    overflows later."""
+
+    CALLS = [
+        (polynomial_tail_bound, (10**6, 1e200, 100)),
+        (simplified_gaussian_bound, (10**18, 1e-300, 25)),
+        (gaussian_tail_bound, (10**300, 0.3, 2, 1e200)),
+        (polynomial_tail_bound, (10**4, 1, 1)),
+        (polynomial_tail_bound, (100, 2, 0)),
+        (gaussian_tail_bound, (30, 0.1, 1, 2)),
+        (simplified_gaussian_bound, (100, 0.1, 1)),
+        (exponent_form_bound, (100, 1, 2)),
+    ]
+
+    @staticmethod
+    def outcome(fn, args):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize(
+        "fn, args", CALLS, ids=[f"{fn.__name__}-{i}" for i, (fn, _) in enumerate(CALLS)]
+    )
+    def test_int_call_equals_float_call(self, fn, args):
+        as_float = (args[0], *[float(x) for x in args[1:]])
+        assert self.outcome(fn, args) == self.outcome(fn, as_float)
+
+    def test_int_power_above_the_double_range_underflows(self):
+        assert polynomial_tail_bound(10**6, 1e200, 100).underflow
+        assert simplified_gaussian_bound(10**18, 1e-300, 25).underflow

@@ -599,6 +599,18 @@ class TestExperimentCommand:
         assert code == 1
         assert "missing" in err
 
+    @pytest.mark.parametrize(
+        "text, got",
+        [("5", "int"), ("true", "bool"), ("null", "NoneType"), ("[[1]]", "list"),
+         ('"abc"', "str"), ('["kind", "n"]', "list")],
+    )
+    def test_config_that_is_not_an_object_is_domain_error(self, tmp_path, capsys, text, got):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: config must be a JSON object, got {got}\n"
+
     def test_fractional_config_count_is_domain_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

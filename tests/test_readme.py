@@ -26,7 +26,7 @@ def test_readme_python_block_runs(index, capsys):
 
 
 def test_readme_has_console_examples():
-    assert len(CONSOLE) == 4
+    assert len(CONSOLE) == 5
 
 
 @pytest.mark.parametrize("command, expected", CONSOLE, ids=[c for c, _ in CONSOLE])
