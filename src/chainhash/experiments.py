@@ -3,9 +3,9 @@
 Every trial is a pure function of (config, trial index): trial t draws its
 keys with the stream seed ``base_seed XOR (t * GOLDEN)``, so runs are
 reproducible, trials could be executed in any order, and re-running a
-single index reproduces its record.  Reports carry per-trial rows (all of
-them up to a cap, the first ones beyond it; records are built from them on
-first read) plus streaming aggregates that never depend on the cap.
+single index reproduces its record.  Reports carry the rows of the first
+``RECORD_CAP`` trials (records are built from them on first read) plus
+streaming aggregates that never depend on the cap.
 
 Collision and AST runs share one run path, ``_run``: set-up, trial loop,
 record cap, shared aggregates and report.  Each kind supplies only its
@@ -48,12 +48,10 @@ from .probability import (
     sample_from_cdf,
 )
 
-# Per-trial records are kept verbatim up to RECORD_CAP trials; past it a run
-# keeps the records of its first CAPPED_RECORDS trials, which are as fair a
+# A run keeps the rows of its first RECORD_CAP trials, which are as fair a
 # sample as any, since trials are i.i.d. pure functions of their own seeds
 # (aggregates always cover all trials).
 RECORD_CAP = 10**6
-CAPPED_RECORDS = 10**4
 
 # Trials are drawn in blocks of B = max(1, _BLOCK_DRAWS // m) with one stream
 # and one sampler call per block, which shares the fixed cost of those calls
@@ -220,6 +218,17 @@ _CONFIG_FIELDS = {
 }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict; a repeated key, which json would let the
+    last value win, raises ValueError naming it."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"config key {key!r} appears more than once")
+        data[key] = value
+    return data
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo run (also the JSON config schema).
@@ -263,7 +272,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh, object_pairs_hook=_unique_keys))
 
     def to_dict(self) -> dict[str, Any]:
         values = {key: getattr(self, field) for key, (field, _) in _CONFIG_FIELDS.items()}
@@ -370,15 +379,15 @@ def resolve_ast_bound(
     )
 
 
-def _run_trials(cdf, guide, m: int, trials: int, base_seed: int, measure, kept: int):
+def _run_trials(cdf, guide, m: int, trials: int, base_seed: int, measure):
     """Draw and measure every trial; returns (value stats, violations, rows).
 
     Trial t samples m keys from ``cdf`` (through ``guide``, its :func:`guide_table`)
     with the seed ``trial_seed(base_seed, t)``.  Consecutive trials are sampled
     a block at a time (see ``_BLOCK_DRAWS``), one key row per trial, and
     ``measure`` takes the block and yields each row's (value, aux, violation)
-    in trial order; ``rows`` lists those of the first ``kept`` trials.  A kind
-    that aggregates its aux figure does so in its ``measure``.
+    in trial order; ``rows`` lists those of the first ``RECORD_CAP`` trials.
+    A kind that aggregates its aux figure does so in its ``measure``.
     """
     block = max(1, _BLOCK_DRAWS // m)
     stats, violations, rows = _Welford(), 0, []
@@ -390,7 +399,7 @@ def _run_trials(cdf, guide, m: int, trials: int, base_seed: int, measure, kept: 
         for value, _, violation in measured:
             violations += violation
             stats.add(value)
-        rows += measured[: max(0, kept - start)]
+        rows += measured[: max(0, RECORD_CAP - start)]
     return stats, violations, rows
 
 
@@ -416,10 +425,7 @@ def _run(cfg: ExperimentConfig, kind: str, setup) -> ExperimentReport:
     cdf = q.cdf
     del q  # frees the weights, so that the guide does not raise set-up's peak
     guide = guide_table(cdf)
-    kept = cfg.trials if cfg.trials <= RECORD_CAP else CAPPED_RECORDS
-    stats, violations, rows = _run_trials(
-        cdf, guide, cfg.m, cfg.trials, cfg.base_seed, measure, kept
-    )
+    stats, violations, rows = _run_trials(cdf, guide, cfg.m, cfg.trials, cfg.base_seed, measure)
     values = dict(trials=cfg.trials, mean=stats.mean, sample_std=stats.sample_std,
                   violations=violations, violation_frequency=violations / cfg.trials, **extra())
     aggregates = {key: values[key] for key in _AGGREGATES if key in values}

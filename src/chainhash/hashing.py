@@ -94,19 +94,25 @@ class HashModel:
         file is only scanned for a non-blank line, so an oversized file is
         rejected before any of it is parsed.
         """
-        with open(path, "r", encoding="ascii") as fh:
-            lines = list(itertools.islice(fh, MAX_SIZE + 1))
-            beyond = any(line.strip() for line in fh)
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                lines = list(itertools.islice(fh, MAX_SIZE + 1))
+                beyond = any(line.strip() for line in fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"table file {path!r} has a non-ASCII byte") from exc
         while lines and not lines[-1].strip():
             lines.pop()
         if beyond or len(lines) > MAX_SIZE:
             raise ValueError(f"table file {path!r} exceeds the maximum supported size 2**24")
         if not lines:
             raise ValueError(f"table file {path!r} is empty")
+        non_integer = f"table file {path!r} has a non-integer line"
+        if any("_" in line for line in lines):  # int() reads "1_0" as 10
+            raise ValueError(non_integer)
         try:
             entries = [int(line.strip()) for line in lines]
         except ValueError as exc:
-            raise ValueError(f"table file {path!r} has a non-integer line") from exc
+            raise ValueError(non_integer) from exc
         return cls.from_table(np.asarray(entries), n)  # an ndarray is not searched for bools
 
     @property

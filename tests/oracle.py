@@ -42,10 +42,10 @@ class UnbiasednessResult:
 def unbiasedness_check(dist, h, m: int, trials: int, base_seed: int) -> UnbiasednessResult:
     """Monte Carlo check that E[empirical collision probability] = ||p||^2.
 
-    Runs the experiment trial loop, keeping no records.  Returns the z-score
-    of the sample mean; with zero sample variance (e.g. a point-mass
-    distribution) the z-score is NaN and ``exact_match`` reports whether the
-    constant value hit the target exactly.
+    Runs the experiment trial loop and reads only its value statistics.
+    Returns the z-score of the sample mean; with zero sample variance (e.g. a
+    point-mass distribution) the z-score is NaN and ``exact_match`` reports
+    whether the constant value hit the target exactly.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -58,7 +58,7 @@ def unbiasedness_check(dist, h, m: int, trials: int, base_seed: int) -> Unbiased
             est = empirical_collision_probability(k)
             yield est.empirical_cp, relative_error(est, p_norm_sq), False
 
-    stats = experiments._run_trials(dist.cdf, dist.guide, m, trials, base_seed, measure, 0)[0]
+    stats = experiments._run_trials(dist.cdf, dist.guide, m, trials, base_seed, measure)[0]
     std = stats.sample_std
     return UnbiasednessResult(
         sample_mean=stats.mean,

@@ -6,6 +6,10 @@ call and one sampler call.  Every trial's keys must still be exactly what
 trial alone, and a run's outputs must not depend on the block size.
 """
 
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +48,7 @@ def blocked_keys(monkeypatch, q, m, trials, base_seed, block_draws):
             seen.append(row.copy())
             yield 0.0, 0.0, False
 
-    experiments._run_trials(q.cdf, q.guide, m, trials, base_seed, measure, 0)
+    experiments._run_trials(q.cdf, q.guide, m, trials, base_seed, measure)
     return seen, calls
 
 
@@ -118,8 +122,8 @@ CONFIGS = {
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_outputs_do_not_depend_on_the_block_size(monkeypatch, tmp_path, kind):
-    monkeypatch.setattr(experiments, "RECORD_CAP", 20)
-    monkeypatch.setattr(experiments, "CAPPED_RECORDS", 5)
+    # The collision run (61 trials) keeps its first 5 records, the AST run all 9.
+    monkeypatch.setattr(experiments, "RECORD_CAP", {"ast": 20, "collision": 5}[kind])
     outputs = set()
     for block_draws in (1, 3 * 2000, 7 * 2000, experiments._BLOCK_DRAWS):
         monkeypatch.setattr(experiments, "_BLOCK_DRAWS", block_draws)
@@ -223,3 +227,29 @@ def test_property_stream_slice_is_part_of_the_full_stream(seed, count, offset):
     full = rng.stream_uint64(seed, offset + count)
     assert np.array_equal(rng.stream_uint64(seed, count, offset), full[offset:])
     assert np.array_equal(rng.stream_uint64([seed], count, offset)[0], full[offset:])
+
+
+@pytest.mark.parametrize("name", ["uniform-64", "zipf-2**20"])
+def test_a_block_past_2_16_draws_stays_within_the_readme_memory_bound(monkeypatch, name):
+    # Past m = 2**16 a block is one trial of m draws, so the sampler's peak grows
+    # with m.  The README bounds it per draw over max(m, 2**16) draws; tracemalloc
+    # read 28.4 bytes per draw for uniform-64 and 41.4 for Zipf over 2**20.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    claim = re.search(r"to (\d+) bytes per draw,\s+max\(m,\s+2¹⁶\) draws at most", readme)
+    assert claim, "the README bounds no sampler block of max(m, 2**16) draws"
+    q = make_uniform(64) if name == "uniform-64" else make_zipf(2**20, 1.0)
+    m, calls = 2**18, []
+
+    def traced(cdf, seeds, count, guide):
+        tracemalloc.start()
+        try:
+            keys = sample_from_cdf(cdf, seeds, count, guide)
+            calls.append((len(seeds), count, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return keys
+
+    monkeypatch.setattr(experiments, "sample_from_cdf", traced)
+    experiments._run_trials(q.cdf, q.guide, m, 2, 108, lambda keys: [(0.0, 0.0, False)] * len(keys))
+    assert [call[:2] for call in calls] == [(1, m), (1, m)]
+    assert all(peak <= int(claim.group(1)) * m for *_, peak in calls), calls

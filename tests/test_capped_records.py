@@ -1,10 +1,10 @@
-"""The kept-record rule of capped runs: a run keeps the records of its first trials.
+"""The kept-record rule: a run of T trials keeps the records of trials
+0 .. min(T, ``RECORD_CAP``) - 1.
 
-A run of at most ``RECORD_CAP`` trials keeps every record; past the cap it
-keeps those of its first ``CAPPED_RECORDS`` trials.  That is a fair sample
-only because every trial is a pure function of its own seed, so these tests
-also check that a trial's record depends neither on how many trials the run
-has, nor on the cap, nor on how trials are grouped into sampling blocks.
+That is a fair sample only because every trial is a pure function of its own
+seed, so these tests also check that a trial's record depends neither on how
+many trials the run has, nor on the cap, nor on how trials are grouped into
+sampling blocks.
 """
 
 import pytest
@@ -36,60 +36,53 @@ def ast(trials, base_seed):
     )
 
 
-def expected_kept(trials, record_cap, capped_records):
-    return trials if trials <= record_cap else min(trials, capped_records)
-
-
-def capped_run(monkeypatch, cfg, record_cap, capped_records):
+def capped_run(monkeypatch, cfg, record_cap):
     with monkeypatch.context() as mp:
         mp.setattr(experiments, "RECORD_CAP", record_cap)
-        mp.setattr(experiments, "CAPPED_RECORDS", capped_records)
         return experiments.run_experiment(cfg)
 
 
-# (trials, record_cap, capped_records)
+# (trials, record_cap)
 GRID = [
-    (1, 1, 1),
-    (5, 10, 2),
-    (10, 10, 3),
-    (11, 10, 3),
-    (150, 100, 20),
-    (150, 100, 149),
-    (150, 100, 150),  # capped_records == trials
-    (150, 100, 151),
-    (150, 100, 200),  # capped_records >= trials > record_cap
-    (150, 100, 500),
-    (300, 0, 1),
-    (300, 0, 17),
-    (1000, 999, 10),
-    (2000, 100, 250),
+    (1, 1),
+    (5, 10),
+    (10, 10),
+    (11, 3),
+    (150, 20),
+    (150, 149),
+    (150, 150),  # record_cap == trials
+    (150, 151),
+    (150, 200),
+    (150, 500),
+    (300, 1),
+    (300, 17),
+    (1000, 10),
+    (2000, 250),
 ]
 
 
 @pytest.mark.parametrize("base_seed", [0, 123, 2**63 + 5])
-@pytest.mark.parametrize("trials, record_cap, capped_records", GRID)
-def test_capped_run_keeps_the_first_trials(
-    monkeypatch, trials, record_cap, capped_records, base_seed
-):
+@pytest.mark.parametrize("trials, record_cap", GRID)
+def test_capped_run_keeps_the_first_trials(monkeypatch, trials, record_cap, base_seed):
     cfg = collision(trials, base_seed)
     full = experiments.run_experiment(cfg)
-    capped = capped_run(monkeypatch, cfg, record_cap, capped_records)
-    kept = expected_kept(trials, record_cap, capped_records)
+    capped = capped_run(monkeypatch, cfg, record_cap)
+    kept = min(trials, record_cap)
     assert [r.trial for r in capped.records] == list(range(kept))
     assert capped.records == full.records[:kept]
     assert capped.aggregates_json() == full.aggregates_json()
 
 
 @pytest.mark.parametrize("block_draws", [1, 3 * 64, 7 * 64, 64 * 64])
-@pytest.mark.parametrize("trials, record_cap, capped_records", [(500, 10, 10), (500, 100, 40)])
+@pytest.mark.parametrize("trials, record_cap", [(500, 10), (500, 40)])
 def test_capped_records_do_not_depend_on_the_draw_block(
-    monkeypatch, block_draws, trials, record_cap, capped_records
+    monkeypatch, block_draws, trials, record_cap
 ):
     cfg = collision(trials, 77)
     full = experiments.run_experiment(cfg)
     monkeypatch.setattr(experiments, "_BLOCK_DRAWS", block_draws)
-    capped = capped_run(monkeypatch, cfg, record_cap, capped_records)
-    assert capped.records == full.records[:capped_records]
+    capped = capped_run(monkeypatch, cfg, record_cap)
+    assert capped.records == full.records[:record_cap]
     assert capped.aggregates_json() == full.aggregates_json()
 
 
@@ -105,12 +98,11 @@ def test_a_trial_record_does_not_depend_on_the_trial_count(make, shorter, longer
 @given(
     trials=st.integers(1, 300),
     record_cap=st.integers(0, 300),
-    capped_records=st.integers(0, 300),
     base_seed=st.integers(0, 2**64 - 1),
 )
-def test_kept_record_count_property(trials, record_cap, capped_records, base_seed):
+def test_kept_record_count_property(trials, record_cap, base_seed):
     with pytest.MonkeyPatch.context() as mp:
-        report = capped_run(mp, collision(trials, base_seed, m=48), record_cap, capped_records)
-    kept = expected_kept(trials, record_cap, capped_records)
+        report = capped_run(mp, collision(trials, base_seed, m=48), record_cap)
+    kept = min(trials, record_cap)
     assert [r.trial for r in report.records] == list(range(kept))
     assert report.aggregates["trials"] == trials

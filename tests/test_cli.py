@@ -1,11 +1,12 @@
 import argparse
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from chainhash import cli, experiments, rng
+from chainhash import cli, experiments, rng, search_time
 from chainhash.cli import build_parser, fmt, main
 from chainhash.hashing import MAX_SIZE, HashModel
 
@@ -47,6 +48,10 @@ class TestFormatting:
         assert fmt(12345678.0) == "1.23457e+07"
         assert fmt(0.0) == "0.00000e+00"
         assert fmt(-4.133e-44) == "-4.13300e-44"
+
+    @pytest.mark.parametrize("x, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_non_finite_prints_as_python_does(self, x, text):
+        assert fmt(x) == text
 
 
 class TestEstimate:
@@ -114,6 +119,10 @@ class TestEstimate:
                 "--universe", "256", "--dist", "zipf"]
         assert run(capsys, *argv) == run(capsys, *argv, "--zipf-exp", "1.0", "--table-seed", "0")
 
+    def test_neither_m_nor_load_is_usage_error(self, capsys, no_stream):
+        code, out, err = run(capsys, "estimate", "--n", "16")
+        assert (code, out, err) == (2, "", "usage error: one of --m or --load is required\n")
+
     def test_m_and_load_conflict(self, capsys):
         code, _, err = run(
             capsys, "estimate", "--dist", "uniform", "--n", "16", "--m", "4", "--load", "2"
@@ -150,6 +159,15 @@ class TestEstimate:
             "empirical_cp 0.177186\np_norm_sq 0.186150\nrel_error 0.0481535\n"
             "collision_pairs 3526\nm 200\n"
         )
+
+    def test_table_file_with_a_non_ascii_byte_names_the_file(self, capsys, tmp_path, no_stream):
+        path = str(tmp_path / "table.txt")
+        with open(path, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf0\n1\n")  # a UTF-8 byte-order mark
+        code, out, err = run(capsys, "estimate", "--n", "2", "--m", "10", "--hash", "table-file",
+                             "--table-file", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: table file {path!r} has a non-ASCII byte\n"
 
     def test_table_file_output(self, capsys, tmp_path):
         path = tmp_path / "table.txt"
@@ -481,6 +499,19 @@ class TestWorkedExamples:
         assert "15812.4" in lines[1] and "6324.56" in lines[1] and "0.908794" in lines[1]
         assert "158115" in lines[2] and "63245.6" in lines[2]
 
+    def test_restricted_access_json(self, capsys):
+        code, out, err = run(
+            capsys,
+            "restricted-access", "--c", "5", "--alpha", "0.1", "--eps", "0.05",
+            "--load", "1000", "10000", "--json",
+        )
+        assert (code, err) == (0, "")
+        rows = json.loads(out)
+        assert [row["load"] for row in rows] == [1000.0, 10000.0]
+        for row in rows:
+            bound = search_time.restricted_access_bound(5.0, 0.1, 0.05, row.pop("load"))
+            assert row == dataclasses.asdict(bound)
+
     def test_combined_query(self, capsys):
         code, out, _ = run(
             capsys,
@@ -610,6 +641,23 @@ class TestExperimentCommand:
         code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
         assert (code, out) == (1, "")
         assert err == f"error: config must be a JSON object, got {got}\n"
+
+    @pytest.mark.parametrize(
+        "fields, key",
+        [('"m": 64, "m": 640, "bound": {"name": "load-factor", "epsilon": 0.3}', "m"),
+         ('"m": 640, "bound": {"name": "load-factor", "epsilon": 0.3, "epsilon": 0.2}', "epsilon")],
+        ids=["top-level", "nested"],
+    )
+    def test_duplicate_config_key_is_domain_error(self, tmp_path, capsys, no_stream, fields, key):
+        # json.load keeps the last value of a repeated key: m = 640 or epsilon 0.2 would run.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"kind": "collision", "n": 64, "trials": 3, "base_seed": 1, '
+            '"distribution": {"name": "uniform"}, "hash": {"mode": "identity"}, ' + fields + "}"
+        )
+        code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: config key {key!r} appears more than once\n"
 
     def test_fractional_config_count_is_domain_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -107,6 +107,8 @@ class TestEmpiricalCollisionProbability:
     def test_validation_in_record_type(self):
         with pytest.raises(ValueError):
             CollisionEstimate(empirical_cp=1.2, m=3, collision_pairs=3)
+        with pytest.raises(ValueError, match="^collision_pairs must be nonnegative$"):
+            CollisionEstimate(empirical_cp=0.0, m=3, collision_pairs=-1)
         with pytest.raises(EstimatorUndefinedError):
             CollisionEstimate(empirical_cp=0.0, m=1, collision_pairs=0)
 

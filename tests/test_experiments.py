@@ -511,12 +511,12 @@ def per_record_csv(records):
     return "".join(lines).encode()
 
 
-# name -> (config, record cap, records kept past it, records kept)
+# name -> (config, record cap)
 LAZY_RUNS = {
-    "collision": (collision_config(trials=50), 10**6, 10**4, 50),
-    "ast": (ast_config(trials=41), 10**6, 10**4, 41),
+    "collision": (collision_config(trials=50), 10**6),
+    "ast": (ast_config(trials=41), 10**6),
     # Blocks of 102 trials at m = 640: the kept trials end inside the second block.
-    "capped": (collision_config(trials=300), 100, 130, 130),
+    "capped": (collision_config(trials=300), 130),
 }
 
 
@@ -525,12 +525,11 @@ class TestLazyRecords:
 
     @pytest.fixture(params=sorted(LAZY_RUNS))
     def run(self, request, monkeypatch, tmp_path):
-        cfg, cap, capped, kept = LAZY_RUNS[request.param]
+        cfg, cap = LAZY_RUNS[request.param]
         monkeypatch.setattr(experiments, "RECORD_CAP", cap)
-        monkeypatch.setattr(experiments, "CAPPED_RECORDS", capped)
         path = tmp_path / "trials.csv"
         report = run_experiment(dataclasses.replace(cfg, csv_path=str(path)))
-        return report, eager_records(cfg, kept), path.read_bytes()
+        return report, eager_records(cfg, min(cfg.trials, cap)), path.read_bytes()
 
     def test_a_run_writing_its_outputs_builds_no_record(self, monkeypatch, tmp_path):
         built = []
@@ -597,13 +596,12 @@ def test_big_universe_run_peaks_at_three_universe_arrays(make, trials):
     assert peak <= 25 * 2**20, peak
 
 
-class TestReservoir:
+class TestRecordCap:
     """Runs past the record cap keep the records of their first trials."""
 
     def test_small_cap_keeps_deterministic_sample(self, monkeypatch):
         cfg = collision_config(trials=300)
-        monkeypatch.setattr("chainhash.experiments.RECORD_CAP", 100)
-        monkeypatch.setattr("chainhash.experiments.CAPPED_RECORDS", 20)
+        monkeypatch.setattr("chainhash.experiments.RECORD_CAP", 20)
         a = run_collision_trials(cfg)
         b = run_collision_trials(cfg)
         assert len(a.records) == 20
@@ -615,25 +613,22 @@ class TestReservoir:
     def test_aggregates_cover_all_trials_regardless_of_cap(self, monkeypatch):
         cfg = collision_config(trials=300)
         full = run_collision_trials(cfg)
-        monkeypatch.setattr("chainhash.experiments.RECORD_CAP", 100)
-        monkeypatch.setattr("chainhash.experiments.CAPPED_RECORDS", 20)
+        monkeypatch.setattr("chainhash.experiments.RECORD_CAP", 20)
         capped = run_collision_trials(cfg)
         assert capped.aggregates_json() == full.aggregates_json()
 
-    # (trials, record cap, records kept past it)
+    # (trials, record cap)
     @pytest.mark.parametrize(
-        "trials, cap, kept",
-        [(120, 50, 30), (300, 100, 20), (150, 100, 150), (150, 100, 500), (61, 60, 1),
-         (40, 0, 17), (40, 0, 0), (1, 0, 1)],
+        "trials, cap",
+        [(120, 30), (300, 20), (150, 150), (150, 500), (61, 1), (40, 17), (40, 0), (1, 1)],
     )
     @pytest.mark.parametrize("make", [collision_config, ast_config], ids=["collision", "ast"])
-    def test_capped_report_keeps_the_first_trials(self, monkeypatch, make, trials, cap, kept):
+    def test_capped_report_keeps_the_first_trials(self, monkeypatch, make, trials, cap):
         cfg = make(trials=trials)
         full = run_experiment(cfg)
         monkeypatch.setattr("chainhash.experiments.RECORD_CAP", cap)
-        monkeypatch.setattr("chainhash.experiments.CAPPED_RECORDS", kept)
         capped = run_experiment(cfg)
-        assert capped.records == full.records[:kept]
+        assert capped.records == full.records[:cap]
         assert capped.aggregates_json() == full.aggregates_json()
 
 

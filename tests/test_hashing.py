@@ -144,6 +144,30 @@ class TestTableFile:
         with pytest.raises(ValueError):
             HashModel.from_file(empty, 2)
 
+    @pytest.mark.parametrize("line", ["1_0", "_1", "1_", "0_0_1"])
+    def test_digit_group_underscore_is_a_non_integer_line(self, tmp_path, line):
+        # int() reads "1_0" as 10.
+        path = str(tmp_path / "table.txt")
+        with open(path, "w") as fh:
+            fh.write(f"0\n{line}\n")
+        message = f"^table file {re.escape(repr(path))} has a non-integer line$"
+        with pytest.raises(ValueError, match=message):
+            HashModel.from_file(path, 16)
+
+    def test_sign_and_spaces_around_a_slot_are_read(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("+3\n 2 \n1\n")
+        assert HashModel.from_file(path, 4).table.tolist() == [3, 2, 1]
+
+    @pytest.mark.parametrize("data", [b"\xef\xbb\xbf0\n1\n", b"0\n1\xe9\n", b"0\n1\n\n\xff\n"])
+    def test_non_ascii_byte_names_the_file(self, tmp_path, data):
+        path = str(tmp_path / "table.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        message = f"^table file {re.escape(repr(path))} has a non-ASCII byte$"
+        with pytest.raises(ValueError, match=message):
+            HashModel.from_file(path, 2)
+
     def test_oversized_file_rejected_before_parsing(self, tmp_path, monkeypatch):
         # With the cap at 4, the fifth entry already exceeds it, so the line
         # after it must never be parsed.
@@ -413,7 +437,7 @@ class TestBlockSlotCounts:
             blocks.append(block_slot_counts(keys, h))
             return [(0.0, 0.0, False)] * len(keys)
 
-        experiments._run_trials(q.cdf, q.guide, m, trials, base_seed, measure, 0)
+        experiments._run_trials(q.cdf, q.guide, m, trials, base_seed, measure)
         assert [len(b) for b in blocks] == [3, 3, 1]
         for t, k in enumerate(itertools.chain(*blocks)):
             keys = sample_from_cdf(q.cdf, rng.trial_seed(base_seed, t), m)

@@ -7,7 +7,8 @@ per-kind trial loops before they became one (the last three runs: from the
 trial-at-a-time loop, before trials were drawn in blocks).  The CSV and
 records digests of the two runs that keep fewer records than they have
 trials were taken when capped runs began to keep their first trials instead
-of a reservoir sample.  Criterion 9 only compares two reruns of the same
+of a reservoir sample; the runs now set the one record cap to the number of
+records each kept then.  Criterion 9 only compares two reruns of the same
 code; these digests catch a change in any output byte between versions,
 including which trials a capped run keeps.
 """
@@ -48,39 +49,37 @@ AST_RESTRICTED = {
 UNIFORM = collision({"name": "uniform"}, {"mode": "identity"})
 CAPPED = collision({"name": "uniform"}, {"mode": "identity"}, trials=150)
 
-# name -> (config, record_cap, capped_records)
+# name -> (config, record_cap)
 RUNS = {
-    "collision-uniform-identity": (UNIFORM, 10**6, 10**4),
+    "collision-uniform-identity": (UNIFORM, 10**6),
     "collision-zipf-random-table": (
         collision(
             {"name": "zipf", "exponent": 1.0},
             {"mode": "random-table", "universe": 4096, "seed": 7},
         ),
         10**6,
-        10**4,
     ),
-    "ast-restricted": (AST_RESTRICTED, 10**6, 10**4),
-    "capped-reservoir-20": (CAPPED, 100, 20),
-    "capped-reservoir-500": (CAPPED, 100, 500),
-    "capped-reservoir-200": (CAPPED, 100, 200),
+    "ast-restricted": (AST_RESTRICTED, 10**6),
+    # 150 trials: a cap of 20 keeps the first 20 records, one of 200 or 500 all of them.
+    "capped-20": (CAPPED, 20),
+    "capped-500": (CAPPED, 500),
+    "capped-200": (CAPPED, 200),
     # 1003 trials at m=1000: blocks of 8 trials, the last one holds 3.
     "partial-last-block": (
         collision({"name": "uniform"}, {"mode": "identity"}, trials=1003, m=1000, base_seed=77),
         10**6,
-        10**4,
     ),
-    # 1000 trials at m=300 (blocks of 27) past a cap of 200: the first 50 records.
+    # 1000 trials at m=300 (blocks of 27) past a cap of 50: the first 50 records.
     "capped-zipf-random-table": (
         collision(
             {"name": "zipf", "exponent": 1.0},
             {"mode": "random-table", "universe": 4096, "seed": 7},
             trials=1000, m=300, base_seed=31, n=16,
         ),
-        200,
         50,
     ),
     # 41 trials at m=2000: blocks of 4 trials, the last one holds 1.
-    "ast-restricted-partial-block": ({**AST_RESTRICTED, "trials": 41}, 10**6, 10**4),
+    "ast-restricted-partial-block": ({**AST_RESTRICTED, "trials": 41}, 10**6),
 }
 
 # name -> sha256 of (aggregates_json, csv bytes, repr(records), repr(bound))
@@ -97,19 +96,19 @@ PINNED = {
         "b6363271cc1d3fdb9bde0881bf2d992e941f10aa538984f0f80f88a91796ef98",
         "5bb793d370db26e3bc26787eda673a01840bfee1f406fdee88807db070492735",
     ),
-    "capped-reservoir-20": (
+    "capped-20": (
         "3b85d8b99d190455bda94a0bac7660c0623f06ad2845ab66d4be40ba696715ab",
         "041f3f94758e105bed45e71a21dbdb5188875ecd91ddd69d816ff8b88c508de0",
         "86bdb6b05a88eeae937dcd15baa2167c633061e11f69519ed31cb93ada7f5607",
         "53a839dab84db263a9a62bc1a90c42a29233f2e5dbfcbb7b508a1514caba3aa5",
     ),
-    "capped-reservoir-200": (
+    "capped-200": (
         "3b85d8b99d190455bda94a0bac7660c0623f06ad2845ab66d4be40ba696715ab",
         "f23bb028a0d9e6c9d7e4ca4600eee1fba86c15d27556929978062e90e085f311",
         "233aecccd18550a2d57b43fbd81b6cfd1408dc9bcc805b32bf3dc91b39432966",
         "53a839dab84db263a9a62bc1a90c42a29233f2e5dbfcbb7b508a1514caba3aa5",
     ),
-    "capped-reservoir-500": (
+    "capped-500": (
         "3b85d8b99d190455bda94a0bac7660c0623f06ad2845ab66d4be40ba696715ab",
         "f23bb028a0d9e6c9d7e4ca4600eee1fba86c15d27556929978062e90e085f311",
         "233aecccd18550a2d57b43fbd81b6cfd1408dc9bcc805b32bf3dc91b39432966",
@@ -144,9 +143,8 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
-    data, record_cap, capped_records = RUNS[name]
+    data, record_cap = RUNS[name]
     monkeypatch.setattr("chainhash.experiments.RECORD_CAP", record_cap)
-    monkeypatch.setattr("chainhash.experiments.CAPPED_RECORDS", capped_records)
     path = tmp_path / "trials.csv"
     report = run_experiment(ExperimentConfig.from_dict({**data, "csv": str(path)}))
     got = (

@@ -69,12 +69,16 @@ class TestConstructors:
             make_restricted_uniform(10, 0.0)
         with pytest.raises(ValueError):
             make_restricted_uniform(10, 1.5)
+        with pytest.raises(ValueError, match="^size must be at least 1$"):
+            make_restricted_uniform(0, 0.5)
 
     def test_point_mass(self):
         pv = make_point_mass(4, 2)
         assert_allclose(pv.weights, [0.0, 0.0, 1.0, 0.0])
         with pytest.raises(ValueError):
             make_point_mass(4, 4)
+        with pytest.raises(ValueError, match="^size must be at least 1$"):
+            make_point_mass(0)
 
     def test_normalization_divides_once_by_exact_sum(self):
         pv = ProbabilityVector([2.0, 2.0, 6.0])
@@ -199,6 +203,11 @@ class TestKeySequence:
     def test_non_integer_universe_rejected(self, universe):
         with pytest.raises(ValueError, match="universe size must be an integer"):
             KeySequence([0], universe)
+
+    @pytest.mark.parametrize("universe", [0, -1, 0.0])
+    def test_universe_below_one_rejected(self, universe):
+        with pytest.raises(ValueError, match="^universe size must be positive$"):
+            KeySequence([], universe)
 
     @pytest.mark.parametrize("universe", [4, 4.0, np.int32(4), np.uint64(4)])
     def test_integer_universe_accepted(self, universe):

@@ -205,6 +205,10 @@ def test_bound_types_validate_and_stay_above_one():
         SearchTimeBound(value=0.5, confidence=0.9)
     with pytest.raises(ValueError):
         IntervalBound(center=10.0, halfwidth=-1.0, confidence=0.9)
+    with pytest.raises(ValueError, match="^confidence cannot exceed 1$"):
+        SearchTimeBound(value=2.0, confidence=1.5)
+    with pytest.raises(ValueError, match="^confidence cannot exceed 1$"):
+        IntervalBound(center=10.0, halfwidth=1.0, confidence=1.5)
     gen = np.random.default_rng(44)
     for _ in range(100):
         L = float(gen.uniform(9.5, 10**4))
