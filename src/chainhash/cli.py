@@ -81,9 +81,11 @@ def _key_count(m: float, flag: str, least: int, what: str) -> int:
     return int(round(m))
 
 
-# Flags named otherwise than the parameter they set (their argparse dest).
+# Flags named otherwise than the parameter they set (their argparse dest), and
+# the type of each flag that is not a real (a path, of type None, stays a string).
 _FLAG_NAMES = {"epsilon": "eps", "L": "load", "exponent": "zipf-exp", "path": "table-file",
                "seed": "table-seed", "key_seed": "seed", "base_seed": "seed"}
+_FLAG_TYPES = {"n": int, "universe": int, "seed": int, "path": None}
 
 
 def _flag(dest: str) -> str:
@@ -108,6 +110,15 @@ def _form_params(forms) -> dict[str, bool]:
     """Each parameter of ``forms`` in first-use order: True where every form takes it."""
     params = [names for _, names in forms.values()]
     return {name: all(name in names for names in params) for names in params for name in names}
+
+
+def _add_flags(p: argparse.ArgumentParser, forms) -> None:
+    """One flag per parameter of ``forms``, required where every form takes it; none for
+    ``size``, which the command supplies, or for pointmass's ``index``: no output depends on it."""
+    for name, required in _form_params(forms).items():
+        if name not in ("size", "index"):
+            p.add_argument(_flag(name), dest=name, type=_FLAG_TYPES.get(name, float),
+                           required=required, metavar=_flag(name)[2:].upper())
 
 
 def _call(args, forms, form, needs: str, **supplied):
@@ -140,17 +151,10 @@ def cmd_estimate(args) -> int:
     x = sample(q, args.key_seed, m)
     est = empirical_collision_probability(count_slots(x, h))
     p_norm_sq = norm_sq(slot_probabilities(q, h))
-    rel = relative_error(est, p_norm_sq)
-    _print_fields(
-        [
-            ("empirical_cp", est.empirical_cp),
-            ("p_norm_sq", p_norm_sq),
-            ("rel_error", rel),
-            ("collision_pairs", est.collision_pairs),
-            ("m", est.m),
-        ],
-        args.json,
-    )
+    pairs = [("empirical_cp", est.empirical_cp), ("p_norm_sq", p_norm_sq),
+             ("rel_error", relative_error(est, p_norm_sq)),
+             ("collision_pairs", est.collision_pairs), ("m", est.m)]
+    _print_fields(pairs, args.json)
     return 0
 
 
@@ -242,21 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_dist_flags(p):
-        p.add_argument("--dist", choices=experiments.SPECS["distribution"], default="uniform")
-        p.add_argument("--zipf-exp", type=float, dest="exponent", metavar="ZIPF_EXP")
-        p.add_argument("--alpha", type=float)
-
-    def add_hash_flags(p):
-        p.add_argument("--hash", choices=experiments.SPECS["hash"], default="identity")
-        p.add_argument("--universe", type=int)
-        p.add_argument("--table-seed", type=int, dest="seed", metavar="TABLE_SEED")
-        p.add_argument("--table-file", dest="path", metavar="TABLE_FILE")
-
     p = sub.add_parser("estimate", help="sample keys once and estimate the collision probability")
-    add_dist_flags(p)
-    add_hash_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--dist", choices=experiments.SPECS["distribution"], default="uniform")
+    _add_flags(p, experiments.SPECS["distribution"])
+    p.add_argument("--hash", choices=experiments.SPECS["hash"], default="identity")
+    _add_flags(p, experiments.SPECS["hash"])
     p.add_argument("--m", type=int)
     p.add_argument("--load", type=float)
     p.add_argument("--seed", type=int, default=0, dest="key_seed", metavar="SEED")
@@ -267,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         if None not in forms:
             p.add_argument("--form", choices=forms, required=True)
-        for name, required in _form_params(forms).items():
-            p.add_argument(_flag(name), dest=name, type=int if name == "n" else float,
-                           required=required, metavar=_flag(name)[2:].upper())
+        _add_flags(p, forms)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=partial(_print_form, forms))
 
@@ -297,12 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
         "perturbation-check",
         help="verify the slot-count stability inequality on random sequence pairs",
     )
-    p.add_argument("--n", type=int, required=True)
+    _add_flags(p, {mode: experiments.SPECS["hash"][mode] for mode in ("identity", "random-table")})
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0, dest="key_seed", metavar="SEED")
-    p.add_argument("--universe", type=int)
-    p.add_argument("--table-seed", type=int, dest="seed", metavar="TABLE_SEED")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_perturbation_check)
 

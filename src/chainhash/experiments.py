@@ -36,6 +36,7 @@ from .bounds import (
 from .estimator import empirical_collision_probability, relative_error
 from .hashing import MAX_SIZE, HashModel, count_slots, slot_probabilities
 from .probability import (
+    _BLOCK_DRAWS,
     KeySequence,
     _check_integer,
     ProbabilityVector,
@@ -59,11 +60,7 @@ RECORD_CAP = 10**6
 # so no output moves.  Sampler time per trial (2-CPU Xeon, numpy 2.4): Zipf
 # over 2**20 at m = 6400 took 261 us at B = 1, 194 at B = 5, 189 at B = 10 and
 # 201 at B = 20; m = 10**4 over 100 outcomes 120, 92, 87 and 101 us at B = 1,
-# 3, 6 and 13.  The ceiling is the 2 MiB L2 cache: the sampler holds about
-# 30 bytes per draw (word, bucket, index, window end), so 2**16 draws fill it
-# and 2**17 spill.  In benchmark runs 2**15 and 2**16 were level on the Zipf
-# workload and 2**16 led on the other two.
-_BLOCK_DRAWS = 2**16
+# 3, 6 and 13.  The ceiling is the cache: see probability._BLOCK_DRAWS.
 
 CSV_HEADER = ("trial", "value", "rel_error", "violation")
 
@@ -326,13 +323,12 @@ class ExperimentReport:
     bound: dict[str, Any]
     aggregates: dict[str, Any]
     rows: list[tuple[float, float, bool]]
-    aux_field: str
     duration_seconds: float
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
-        """The kept trials' records, built on first read, with the aux figure in ``aux_field``."""
-        aux = self.aux_field
+        """The kept trials' records, built on first read."""
+        aux = "rel_error" if self.config.kind == "collision" else "ast_exact"
         return tuple(TrialRecord(t, v, bad, **{aux: a}) for t, (v, a, bad) in enumerate(self.rows))
 
     def to_dict(self) -> dict[str, Any]:
@@ -358,7 +354,7 @@ class ExperimentReport:
         # No field holds a comma, quote or newline: these are csv.writer's bytes.
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            if self.aux_field == "rel_error":
+            if self.config.kind == "collision":
                 rows = ["%d,%r,%r,%d\n" % (t, *row) for t, row in enumerate(self.rows)]
             else:
                 rows = ["%d,%r,,%d\n" % (t, v, bad) for t, (v, _, bad) in enumerate(self.rows)]
@@ -411,17 +407,17 @@ def _run(cfg: ExperimentConfig, kind: str, setup) -> ExperimentReport:
     """Run the trials of a ``kind`` config and report them.
 
     ``setup(h, q)`` returns what belongs to the kind: its bound's label and
-    value, its ``measure`` (see :func:`_run_trials`), the record field of its
-    aux figure, and a callable that gives its extra aggregates once every
-    trial has run.  None of these may hold ``q``: the trials read only its
-    cdf, so its weights (8 bytes per key) are freed before the guide is built.
+    value, its ``measure`` (see :func:`_run_trials`) and a callable that gives
+    its extra aggregates once every trial has run.  None of these may hold
+    ``q``: the trials read only its cdf, so its weights (8 bytes per key) are
+    freed before the guide is built.
     """
     if cfg.kind != kind:
         raise ValueError(f"config kind must be {kind!r}")
     start = time.perf_counter()
     h = hash_from_spec(cfg.hash_spec, cfg.n)
     q = distribution_from_spec(cfg.distribution, h.universe)
-    label, bound, measure, aux_field, extra = setup(h, q)
+    label, bound, measure, extra = setup(h, q)
     cdf = q.cdf
     del q  # frees the weights, so that the guide does not raise set-up's peak
     guide = guide_table(cdf)
@@ -430,7 +426,7 @@ def _run(cfg: ExperimentConfig, kind: str, setup) -> ExperimentReport:
                   violations=violations, violation_frequency=violations / cfg.trials, **extra())
     aggregates = {key: values[key] for key in _AGGREGATES if key in values}
     bound = {"kind": label, **asdict(bound)}
-    return ExperimentReport(cfg, bound, aggregates, rows, aux_field, time.perf_counter() - start)
+    return ExperimentReport(cfg, bound, aggregates, rows, time.perf_counter() - start)
 
 
 def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -456,7 +452,7 @@ def run_collision_trials(cfg: ExperimentConfig) -> ExperimentReport:
                     rel = relative_error(est, p_norm_sq)
                     yield est.empirical_cp, rel, rel > bound.error_bound
 
-        return "deviation", bound, measure, "rel_error", lambda: {"p_norm_sq": p_norm_sq}
+        return "deviation", bound, measure, lambda: {"p_norm_sq": p_norm_sq}
 
     return _run(cfg, "collision", setup)
 
@@ -484,7 +480,7 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
                 exact.add(ast)
                 yield upper, ast, upper > bound.value
 
-        return "search-time", bound, measure, "ast_exact", lambda: {"exact_mean": exact.mean}
+        return "search-time", bound, measure, lambda: {"exact_mean": exact.mean}
 
     return _run(cfg, "ast", setup)
 

@@ -42,6 +42,11 @@ _GUIDE_MAX_BUCKETS = 2**20  # never above 2**31: see sample_from_cdf
 # takes np.unique otherwise).  On 10**3..10**5 random keys the bincount was the
 # faster up to U between 32 and 64 times the key count, 3.5-7x at 8 times.
 _BINCOUNT_UNIVERSE_PER_KEY = 8
+# Draws per sampler pass, and per block of trials in experiments._run_trials:
+# a pass holds about 30 bytes per draw (word, bucket, index, window end), so
+# 2**16 draws fill the 2 MiB L2 cache and 2**17 spill.  In benchmark runs
+# 2**15 and 2**16 were level on the Zipf workload and 2**16 led on the others.
+_BLOCK_DRAWS = 2**16
 # Bucket edges searched per call while building (the fastest of 2**10..2**16
 # on a 2**20-entry Zipf cdf).
 _GUIDE_BLOCK = 2**12
@@ -278,10 +283,13 @@ def sample_from_cdf(
     smallest i with u * cdf[-1] < cdf[i], else the last i.  Given a 1-d
     sequence of seeds it returns a ``(len(seeds), count)`` block whose row r
     holds exactly the draws of ``seeds[r]`` alone: the stream rows are
-    unchanged and the search is elementwise.  Pass ``guide_table(cdf)`` (or
-    :attr:`ProbabilityVector.guide`) when sampling the same cdf repeatedly;
-    without it each call builds one.  With K = len(guide) - 1 = 2**k
-    buckets starting at g_0 <= .. <= g_K, the search finds that same index:
+    unchanged and the search is elementwise.  A row longer than
+    ``_BLOCK_DRAWS`` is searched that many columns per pass (the stream's
+    ``offset``), so beside its 8-byte draws a call holds one pass's working
+    memory.  Pass ``guide_table(cdf)`` (or :attr:`ProbabilityVector.guide`)
+    when sampling the same cdf repeatedly; without it each call builds one.
+    With K = len(guide) - 1 = 2**k buckets starting at g_0 <= .. <= g_K,
+    the search finds that same index:
 
     * u lies in bucket j = floor(u * K), so j/K <= u < (j+1)/K.  For the
       double of a stream word w, u = (w >> 11) * 2**-53, and with k <= 20,
@@ -307,8 +315,13 @@ def sample_from_cdf(
     """
     if guide is None:
         guide = guide_table(cdf)
-    words = rng.premixed(seed, count)
-    return _guided_search(cdf, guide, words.ravel()).reshape(words.shape)
+    if count <= _BLOCK_DRAWS:  # one pass: the search's own output, not a copy of it
+        return _guided_search(cdf, guide, rng.premixed(seed, count))
+    draws = np.empty((*np.shape(seed), count), dtype=np.int64)
+    for start in range(0, count, _BLOCK_DRAWS):
+        words = rng.premixed(seed, min(count - start, _BLOCK_DRAWS), start)
+        draws[..., start : start + _BLOCK_DRAWS] = _guided_search(cdf, guide, words)
+    return draws
 
 
 def guide_table(cdf: np.ndarray) -> np.ndarray:
@@ -343,10 +356,11 @@ def guide_table(cdf: np.ndarray) -> np.ndarray:
 
 
 def _guided_search(cdf: np.ndarray, guide: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The draws of a flat array of premixed words, as :func:`sample_from_cdf` sets out.
+    """The draws of a C-contiguous array of premixed words, in its shape, as
+    :func:`sample_from_cdf` sets out.
 
     Only the words whose bucket holds a cdf step are finished into doubles;
-    they are gathered by index, and their results scattered back with ``put``.
+    they are gathered by flat index, and their results scattered back with ``put``.
     """
     k = (guide.size - 1).bit_length() - 1  # K = 2**k buckets
     bucket = np.right_shift(words, np.uint64(64 - k)).view(np.int64)

@@ -253,3 +253,21 @@ def test_a_block_past_2_16_draws_stays_within_the_readme_memory_bound(monkeypatc
     experiments._run_trials(q.cdf, q.guide, m, 2, 108, lambda keys: [(0.0, 0.0, False)] * len(keys))
     assert [call[:2] for call in calls] == [(1, m), (1, m)]
     assert all(peak <= int(claim.group(1)) * m for *_, peak in calls), calls
+
+
+@pytest.mark.parametrize("name", ["uniform-64", "zipf-2**20"])
+def test_one_long_trial_holds_its_draws_and_one_pass(name):
+    # Past 2**16 draws the sampler searches a row one pass of 2**16 columns at a
+    # time, so an m = 2**20 trial holds its 8 MiB of draws and one pass's working
+    # memory.  tracemalloc read 9.8 MiB for uniform-64 and 10.6 MiB for Zipf over
+    # 2**20; searched in one pass, the same call took 28.4 and 41.5 MiB.
+    q = make_uniform(64) if name == "uniform-64" else make_zipf(2**20, 1.0)
+    cdf, guide = q.cdf, q.guide
+    tracemalloc.start()
+    try:
+        keys = sample_from_cdf(cdf, 108, 2**20, guide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.shape == (2**20,)
+    assert peak <= 12 * 2**20, peak / 2**20

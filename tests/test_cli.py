@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from chainhash import cli, experiments, rng, search_time
+from chainhash import cli, experiments, probability, rng, search_time
 from chainhash.cli import build_parser, fmt, main
 from chainhash.hashing import MAX_SIZE, HashModel
+from chainhash.probability import ProbabilityVector
 
 
 def run(capsys, *argv):
@@ -99,7 +100,12 @@ class TestEstimate:
         assert err == "error: slot count exceeds the maximum supported size 2**24\n"
 
     @pytest.mark.parametrize("flags", [["--m", str(MAX_SIZE)], ["--load", "1048576"]])
-    def test_key_count_at_the_cap_is_sampled(self, no_stream, flags):
+    def test_key_count_at_the_cap_is_sampled(self, monkeypatch, flags):
+        # The sampler is asked for all m keys (it draws them 2**16 columns per pass).
+        def spy(cdf, seed, count, guide):
+            raise StreamDrawn(count)
+
+        monkeypatch.setattr(probability, "sample_from_cdf", spy)
         with pytest.raises(StreamDrawn) as drawn:
             main(["estimate", "--n", "16", *flags])
         assert drawn.value.args == (MAX_SIZE,)
@@ -445,6 +451,51 @@ def test_closed_form_flags_are_the_parameters_of_its_forms(command):
     assert {a.option_strings[0] for a in actions if a.required} == _CLOSED_FORM_FLAGS[command][1]
     others = {a.dest for a in _subparsers().choices[command]._actions} - union
     assert others == ({"help", "json"} if None in forms else {"help", "form", "json"})
+
+
+# Every flag of the two spec-driven commands: option string -> (dest, type,
+# required, default).  The spec flags come from experiments.SPECS, the others
+# are written in cli.build_parser; none of them may drift.
+_HELP_FLAG = {"-h": ("help", None, False, argparse.SUPPRESS)}
+_ESTIMATE_FLAGS = {
+    **_HELP_FLAG,
+    "--dist": ("dist", None, False, "uniform"),
+    "--zipf-exp": ("exponent", float, False, None),
+    "--alpha": ("alpha", float, False, None),
+    "--hash": ("hash", None, False, "identity"),
+    "--universe": ("universe", int, False, None),
+    "--table-seed": ("seed", int, False, None),
+    "--table-file": ("path", None, False, None),
+    "--n": ("n", int, True, None),
+    "--m": ("m", int, False, None),
+    "--load": ("load", float, False, None),
+    "--seed": ("key_seed", int, False, 0),
+    "--json": ("json", None, False, False),
+}
+_PERTURBATION_FLAGS = {
+    **_HELP_FLAG,
+    "--n": ("n", int, True, None),
+    "--m": ("m", int, True, None),
+    "--trials": ("trials", int, False, 1000),
+    "--seed": ("key_seed", int, False, 0),
+    "--universe": ("universe", int, False, None),
+    "--table-seed": ("seed", int, False, None),
+    "--json": ("json", None, False, False),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("estimate", _ESTIMATE_FLAGS), ("perturbation-check", _PERTURBATION_FLAGS)],
+)
+def test_spec_command_flags_are_pinned(command, flags):
+    actions = _subparsers().choices[command]._actions
+    got = {a.option_strings[0]: (a.dest, a.type, a.required, a.default) for a in actions}
+    assert got == flags
+    choices = {a.dest: list(a.choices) for a in actions if a.choices is not None}
+    if command == "estimate":
+        assert choices == {kind: list(experiments.SPECS[spec])
+                           for kind, spec in (("dist", "distribution"), ("hash", "hash"))}
 
 
 @pytest.mark.parametrize("command", list(_subparsers().choices))
@@ -989,6 +1040,21 @@ def test_every_spec_key_without_a_default_has_an_estimate_flag(kind, name):
 
 
 _ESTIMATE = ["estimate", "--n", "16", "--m", "40"]
+
+
+def test_a_new_distribution_spec_key_gets_an_estimate_flag(capsys, monkeypatch):
+    # A SPECS entry is all a new distribution needs: its key becomes a flag.
+    def spike(size, mass):
+        weights = np.full(size, (1.0 - mass) / size)
+        weights[0] += mass
+        return ProbabilityVector(weights)
+
+    monkeypatch.setitem(experiments.SPECS["distribution"], "spike", (spike, ("size", "mass")))
+    code, out, err = run(capsys, *_ESTIMATE, "--dist", "spike", "--mass", "1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["p_norm_sq"] == 1.0
+    assert run(capsys, *_ESTIMATE, "--mass", "1") == (
+        2, "", "usage error: --dist uniform takes no --mass\n")
 
 
 @pytest.mark.parametrize(

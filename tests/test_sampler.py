@@ -41,10 +41,12 @@ def word_draws(cdf, guide, words):
     """``sample_from_cdf`` on a stream that yields ``words``.
 
     The sampler reads premixed words, so the patch yields the premixed word
-    of each: ``w ^ (w >> 31) ^ (w >> 62)`` inverts ``rng.finish``.
+    of each: ``w ^ (w >> 31) ^ (w >> 62)`` inverts ``rng.finish``.  A row
+    longer than one sampler pass is read a pass at a time, from ``offset``.
     """
     premixed = words ^ (words >> np.uint64(31)) ^ (words >> np.uint64(62))
-    with mock.patch.object(rng, "premixed", lambda seed, count: premixed):
+    with mock.patch.object(rng, "premixed", lambda seed, count, offset=0:
+                           premixed[offset : offset + count]):
         return sample_from_cdf(cdf, 0, words.size, guide)
 
 
@@ -148,6 +150,20 @@ class TestNamedDistributions:
         for words in parts(hard_words(named.cdf, named.guide)):
             expected = reference(named.cdf, doubles_of(words))
             assert np.array_equal(word_draws(named.cdf, named.guide, words), expected)
+
+    def test_rows_longer_than_a_pass_match(self, named):
+        # Three passes, the last of 3 columns; with two seeds, each pass fills
+        # a non-contiguous slice of the output.
+        width = probability._BLOCK_DRAWS
+        m, seeds = 2 * width + 3, [7, 2**64 - 1]
+        expected = [reference(named.cdf, rng.stream_doubles(seed, m)) for seed in seeds]
+        assert np.array_equal(sample_from_cdf(named.cdf, seeds[0], m, named.guide), expected[0])
+        with mock.patch.object(rng, "premixed", wraps=rng.premixed) as stream:
+            rows = sample_from_cdf(named.cdf, seeds, m, named.guide)
+        passes = [call.args[1:] for call in stream.call_args_list]
+        assert passes == [(width, 0), (width, width), (3, 2 * width)]
+        assert rows.shape == (2, m)
+        assert all(np.array_equal(row, draws) for row, draws in zip(rows, expected))
 
     def test_result_type_and_zero_weights(self, named):
         keys = sample(named, 3, 4000).keys
