@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Any, Mapping
 
-from . import hashing, rng, search_time
+from . import hashing, probability, rng, search_time
 from .bounds import (
     DeviationBound,
     exponent_form_bound,
@@ -474,7 +474,7 @@ def run_ast_trials(cfg: ExperimentConfig) -> ExperimentReport:
 
         def measure(keys):
             for row in keys:
-                x = KeySequence(row, h.universe)
+                x = probability.KeySequence._trusted(row, h.universe)
                 upper = search_time.search_time_upper(v, count_slots(x, h))
                 ast = search_time.average_search_time(v, x, h)
                 exact.add(ast)

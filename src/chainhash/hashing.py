@@ -7,7 +7,8 @@ distribution) and ``fixed-table`` (an explicit U-entry lookup table for
 genuine many-to-one hashing).  Where U <= 8m, :func:`distinct_counts` and the
 identity hash's :func:`count_slots` share a sequence's one key histogram.  Their
 counts, and the rows of :func:`block_slot_counts`, are read-only and skip the
-check that :class:`SlotCounts` makes of counts from outside the package.
+check that :class:`SlotCounts` makes of counts from outside the package, as the
+keys that the package draws itself skip the check of :class:`KeySequence`.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def distinct_counts(x: KeySequence, h: HashModel) -> SlotCounts:
     """
     _check_keys(x, h)
     hist = x._key_histogram()
-    uniq = np.unique(x.keys) if hist is None else np.flatnonzero(hist)
+    uniq = np.unique(x.keys) if hist is None else hist.nonzero()[0]
     counts = np.bincount(h.slots_of(uniq), minlength=h.slots)
     counts.flags.writeable = False
     return SlotCounts._trusted(counts, len(uniq))

@@ -15,7 +15,8 @@ buckets that hold a cdf step, and only those draws form the double u.  It
 also takes a block of seeds and draws one row per seed in a single call;
 each row holds exactly the draws its seed gives on its own.  Integer arrays
 from outside (keys here, slot counts and hash tables in :mod:`.hashing`) are
-checked once, where they enter, by one reader: :func:`_int64_entries`.
+checked once, where they enter, by one reader: :func:`_int64_entries`.  Keys
+the package draws itself are wrapped unchecked (:meth:`KeySequence._trusted`).
 """
 
 from __future__ import annotations
@@ -186,6 +187,16 @@ class KeySequence:
         self._universe = universe
         self._histogram: np.ndarray | None = None
 
+    @classmethod
+    def _trusted(cls, keys: np.ndarray, universe: int) -> "KeySequence":
+        """Wrap a 1-d int64 array of keys in [0, universe) that the package drew
+        itself: no check and no copy, unlike the constructor, which checks keys
+        from outside and keeps a copy.  ``keys`` becomes the owner, so nothing
+        may write it while the sequence lives; :attr:`keys` is a read-only view."""
+        x = cls.__new__(cls)
+        x._owner, x._keys, x._universe, x._histogram = keys, _read_only(keys), universe, None
+        return x
+
     @property
     def keys(self) -> np.ndarray:
         return self._keys
@@ -270,7 +281,9 @@ def sample(pv: ProbabilityVector, seed: int, count: int) -> KeySequence:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return KeySequence(sample_from_cdf(pv.cdf, seed, count, pv.guide), len(pv))
+    if np.ndim(seed):  # a block of seeds would give a 2-d block (see sample_from_cdf)
+        raise ValueError("seed must be a single integer")
+    return KeySequence._trusted(sample_from_cdf(pv.cdf, seed, count, pv.guide), len(pv))
 
 
 def sample_from_cdf(

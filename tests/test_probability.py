@@ -275,6 +275,24 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(make_uniform(2), 1, -1)
 
+    def test_a_block_of_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a single integer"):
+            sample(make_uniform(2), [1, 2], 3)
+
+    def test_draws_are_held_once(self):
+        # The sequence wraps the sampler's own 8 MiB of draws: tracemalloc read
+        # 9.8 MiB (draws and one sampler pass), and 16.0 MiB with a checked copy.
+        pv = make_uniform(64)
+        pv.guide  # built outside the measured call
+        tracemalloc.start()
+        try:
+            x = sample(pv, 1, 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(x) == 2**20
+        assert peak < 10.5 * 2**20, peak / 2**20
+
 
 def test_chi_square_uniform_16():
     # Goodness of fit must not reject at the 1e-6 level on >= 99 of 100 seeds.
