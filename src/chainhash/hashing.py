@@ -132,7 +132,7 @@ class HashModel:
         """Vectorized slot lookup for an int64 key array (bounds unchecked)."""
         if self._table is None:
             return keys
-        return self._table[keys]
+        return self._table.take(keys)
 
     def __repr__(self) -> str:
         mode = "identity" if self._table is None else "fixed-table"
@@ -197,8 +197,8 @@ def slot_probabilities(q: ProbabilityVector, h: HashModel) -> ProbabilityVector:
         raise ValueError("distribution size must equal the hash universe size")
     if h.table is None:
         return ProbabilityVector(q.weights)
-    merged = np.bincount(h._owner, weights=q._owner, minlength=h.slots)
-    return ProbabilityVector(merged)
+    # A new array, finite and nonnegative with a positive sum: q's own weights merged.
+    return ProbabilityVector._trusted(np.bincount(h._owner, weights=q._owner, minlength=h.slots))
 
 
 def count_slots(x: KeySequence, h: HashModel) -> SlotCounts:

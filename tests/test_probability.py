@@ -47,6 +47,9 @@ class TestConstructors:
             make_zipf(0, 1.0)
         with pytest.raises(ValueError):
             make_zipf(4, -0.5)
+        # Its weights skip the constructor's checks, so make_zipf names a NaN itself.
+        with pytest.raises(ValueError, match="exponent must be nonnegative"):
+            make_zipf(4, math.nan)
 
     def test_restricted_alpha_one_is_uniform(self):
         assert_allclose(make_restricted_uniform(10, 1.0).weights, 0.1, rtol=1e-15)
@@ -130,16 +133,16 @@ class TestConstructors:
         with pytest.raises(ValueError, match="read-only"):
             build().weights[0] = 0.5
 
-    def test_zipf_peak_holds_two_full_size_arrays(self):
-        # The ranks are raised to the power in place: one 8 MiB array for the
-        # ranks and one for the normalized weights, no third.
+    def test_zipf_peak_holds_one_full_size_array(self):
+        # The ranks are raised to the power and normalised in place: one 8 MiB
+        # array is the ranks and then the weights, no second.
         tracemalloc.start()
         try:
             make_zipf(2**20, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16.5 * 2**20
+        assert peak <= 8.5 * 2**20
 
 
 class TestNormSq:
