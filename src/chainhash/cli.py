@@ -48,8 +48,6 @@ def _print_fields(pairs: list[tuple[str, Any]], as_json: bool) -> None:
     for name, value in pairs:
         if isinstance(value, bool):
             text = "true" if value else "false"
-        elif isinstance(value, int):
-            text = str(value)
         elif isinstance(value, float):
             text = fmt(value)
         else:
@@ -232,7 +230,7 @@ def cmd_perturbation_check(args) -> int:
         y_keys = x.keys.copy()
         if d:
             y_keys[:d] = sample(q, rng.trial_seed(args.key_seed, 2 * t + 1), d).keys
-        check = experiments.slot_count_perturbation(x, KeySequence(y_keys, x.universe), h)
+        check = experiments.slot_count_perturbation(x, KeySequence._trusted(y_keys, x.universe), h)
         violations += not check.holds
     _print_fields([("pairs", args.trials), ("violations", violations)], args.json)
     return 0 if violations == 0 else 1

@@ -8,7 +8,9 @@ genuine many-to-one hashing).  Where U <= 8m, :func:`distinct_counts` and the
 identity hash's :func:`count_slots` share a sequence's one key histogram.  Their
 counts, and the rows of :func:`block_slot_counts`, are read-only and skip the
 check that :class:`SlotCounts` makes of counts from outside the package, as the
-keys that the package draws itself skip the check of :class:`KeySequence`.
+keys that the package draws itself skip the check of :class:`KeySequence`, and
+:func:`slot_probabilities` normalises p unchecked: under the identity hash a
+copy of q's weights, so p's bits may differ from q's.
 """
 
 from __future__ import annotations
@@ -192,13 +194,15 @@ def _check_keys(x: KeySequence, h: HashModel) -> None:
 
 
 def slot_probabilities(q: ProbabilityVector, h: HashModel) -> ProbabilityVector:
-    """Push the key distribution through the hash: p_i = sum of q over h^-1(i)."""
+    """Push the key distribution through the hash: p_i = sum of q over h^-1(i).
+
+    The merged weights (a copy of q's under the identity hash) are divided by their
+    sum unchecked; that sum need not be exactly 1.0, so p's bits may differ from q's."""
     if len(q) != h.universe:
         raise ValueError("distribution size must equal the hash universe size")
-    if h.table is None:
-        return ProbabilityVector(q.weights)
-    # A new array, finite and nonnegative with a positive sum: q's own weights merged.
-    return ProbabilityVector._trusted(np.bincount(h._owner, weights=q._owner, minlength=h.slots))
+    merged = (q.weights.copy() if h.table is None  # new either way: _trusted divides in place
+              else np.bincount(h._owner, weights=q._owner, minlength=h.slots))
+    return ProbabilityVector._trusted(merged)
 
 
 def count_slots(x: KeySequence, h: HashModel) -> SlotCounts:

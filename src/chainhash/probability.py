@@ -18,13 +18,13 @@ from outside (keys here, slot counts and hash tables in :mod:`.hashing`) are
 checked once, where they enter, by one reader: :func:`_int64_entries`.  Keys
 the package draws itself are wrapped unchecked (:meth:`KeySequence._trusted`),
 and weights the package builds itself are normalised in place, unchecked
-(:meth:`ProbabilityVector._trusted`).
+(:meth:`ProbabilityVector._trusted`), as :func:`.hashing.slot_probabilities`
+does to a copy of q's under the identity hash, so p's bits may differ from q's.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -73,20 +73,15 @@ class ProbabilityVector:
             raise ValueError("weights must be finite")
         if lo < 0.0:
             raise ValueError("weights must be nonnegative")
-        if hi > sys.float_info.max / (2 * arr.size):  # only then can the sum overflow
-            with np.errstate(over="ignore"):
-                total = float(arr.sum())
-        else:
+        with np.errstate(over="ignore"):  # an infinite sum is rejected just below
             total = float(arr.sum())
         if not math.isfinite(total):
             raise ValueError("weights must have a finite sum")
         if total <= 0.0:
             raise ValueError("weights must have a positive sum")
         # np.bincount copies read-only input, so it reads this owner; nothing writes it.
-        self._owner = arr / total
-        self._weights = _read_only(self._owner)
-        self._cdf: np.ndarray | None = None
-        self._guide: np.ndarray | None = None
+        owner = arr / total
+        self._owner, self._weights, self._cdf, self._guide = owner, _read_only(owner), None, None
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "ProbabilityVector":

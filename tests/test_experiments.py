@@ -511,6 +511,32 @@ def per_record_csv(records):
     return "".join(lines).encode()
 
 
+def csv_write_peak(report, path):
+    tracemalloc.start()
+    try:
+        report.write_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [collision_config, ast_config])
+def test_csv_write_holds_one_block_of_lines(make, monkeypatch, tmp_path):
+    # write_csv joins and writes _CSV_BLOCK_ROWS rows at a time, so 32 blocks
+    # peak about as one does.  Blocks of 2**8 rows keep this quick under
+    # tracemalloc: collision runs peaked at 39 KB for one block and 40 KB for 32,
+    # AST runs at 31 and 38 KB, where one string of all 2**13 rows took 1.4 MB
+    # and 1.0 MB.
+    monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", 2**8, raising=False)
+    rows = [(t / 3, t / 7, t % 5 == 0) for t in range(2**13)]
+    cfg, path = make(), tmp_path / "trials.csv"
+    block_peak = csv_write_peak(experiments.ExperimentReport(cfg, {}, {}, rows[: 2**8], 0.0), path)
+    report = experiments.ExperimentReport(cfg, {}, {}, rows, 0.0)
+    peak = csv_write_peak(report, path)
+    assert path.read_bytes() == per_record_csv(report.records)
+    assert peak < 1.5 * block_peak, (peak, block_peak)
+
+
 # name -> (config, record cap)
 LAZY_RUNS = {
     "collision": (collision_config(trials=50), 10**6),

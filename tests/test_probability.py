@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chainhash.hashing import HashModel, count_slots, distinct_counts
+from chainhash.hashing import HashModel, SlotCounts, count_slots, distinct_counts
 from chainhash.probability import (
     KeySequence,
     ProbabilityVector,
@@ -308,3 +308,12 @@ def test_chi_square_uniform_16():
         if stats.chisquare(counts).pvalue < 1e-6:
             rejects += 1
     assert rejects <= 1
+
+
+@pytest.mark.parametrize("value, text", [
+    (ProbabilityVector([1.0, 3.0]), "ProbabilityVector(size=2)"),
+    (KeySequence([0, 2, 2], 5), "KeySequence(m=3, universe=5)"),
+    (SlotCounts([1, 0, 4]), "SlotCounts(n=3, m=5)"),
+])
+def test_repr(value, text):
+    assert repr(value) == text

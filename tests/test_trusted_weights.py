@@ -1,11 +1,13 @@
 """Differential gate for weights that the package builds and normalises unchecked.
 
 ``make_uniform``, ``make_zipf``, ``make_restricted_uniform``,
-``make_point_mass`` and the table branch of ``slot_probabilities`` hand a new
+``make_point_mass`` and both branches of ``slot_probabilities`` hand a new
 array of their own to ``ProbabilityVector._trusted``, which divides it by its
 sum in place with none of the constructor's checks and no copy.  Their weights
 must equal, bit for bit, those of the checked constructor on the same raw
-weights, recomputed here on their own, and must be read-only.
+weights, recomputed here on their own, and must be read-only.  Under the
+identity hash the raw weights are q's own, so p must also leave q's array
+untouched and share no memory with it.
 """
 
 import math
@@ -79,3 +81,38 @@ def test_table_slot_probabilities(data):
     p = slot_probabilities(q, HashModel.from_table(table, n))
     assert_bit_equal_and_read_only(p, raw)
     assert not np.shares_memory(p.weights, q.weights)
+
+
+# A q from each builder, or from the checked constructor on raw nonnegative weights.
+key_distributions = st.one_of(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1e6)), min_size=1, max_size=60)
+    .filter(lambda w: sum(w) > 0.0).map(ProbabilityVector),
+    sizes.map(make_uniform),
+    st.builds(make_zipf, sizes, st.floats(0.0, 40.0)),
+    st.builds(make_restricted_uniform, st.integers(10, 300), st.floats(0.1, 1.0)),
+    sizes.flatmap(lambda size: st.builds(make_point_mass, st.just(size), st.integers(0, size - 1))),
+)
+
+
+def assert_identity_branch_normalises_a_copy(q):
+    before = q.weights.tobytes()
+    p = slot_probabilities(q, HashModel.identity(len(q)))
+    assert_bit_equal_and_read_only(p, q.weights)
+    assert not np.shares_memory(p.weights, q.weights)
+    assert q.weights.tobytes() == before
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=key_distributions)
+def test_identity_slot_probabilities(q):
+    assert_identity_branch_normalises_a_copy(q)
+
+
+def test_identity_slot_probabilities_renormalise():
+    # Seven equal weights of 1/7 sum to 0.9999999999999998, so dividing them by
+    # that sum changes bits: p is not q's weights passed through.
+    q = ProbabilityVector([1.0] * 7)
+    assert float(q.weights.sum()) != 1.0
+    p = assert_identity_branch_normalises_a_copy(q)
+    assert p.weights.tobytes() != q.weights.tobytes()
