@@ -3,7 +3,10 @@
 The estimator is a U-statistic: with k_i keys in slot i out of m total,
 ``sum_i k_i(k_i-1) / (m(m-1))`` is an unbiased estimate of the collision
 probability ||p||^2 of the slot distribution.  Everything here is exact
-integer arithmetic until the final division.
+integer arithmetic until the final division.  The estimates the package
+computes itself enter :class:`CollisionEstimate` unchecked, as the counts and
+keys it builds enter :class:`SlotCounts` and ``KeySequence``; an estimate made
+from outside goes through every check of the constructor.
 """
 
 from __future__ import annotations
@@ -35,13 +38,22 @@ class CollisionEstimate:
         if not 0.0 <= self.empirical_cp <= 1.0:
             raise ValueError("empirical_cp must lie in [0, 1]")
 
+    @classmethod
+    def _trusted(cls, empirical_cp: float, m: int, collision_pairs: int) -> "CollisionEstimate":
+        """An estimate the package computed, built without ``__post_init__``'s checks;
+        the caller vouches for what they test (see :func:`empirical_collision_probability`)."""
+        est = cls.__new__(cls)
+        est.__dict__.update(empirical_cp=empirical_cp, m=m, collision_pairs=collision_pairs)
+        return est
+
 
 def collision_pairs(k: SlotCounts) -> int:
     """Number of colliding key pairs: sum_i C(k_i, 2), as an exact integer."""
     c, m = k.counts, k.m
     # sum k(k-1) = sum k^2 - m; sum k^2 <= m^2, so an int64 dot is exact while m^2 < 2**63.
-    # np.vdot costs less per call than np.dot: 1.2 against 1.5 us on a 64-slot count row.
-    squares = int(np.vdot(c, c)) if m * m < 2**63 else sum(v * v for v in c.tolist())
+    # c.dot(c) costs less per call than np.vdot or np.dot: 0.58, 0.63 and 0.81 us on
+    # a 64-slot count row.
+    squares = int(c.dot(c)) if m * m < 2**63 else sum(v * v for v in c.tolist())
     return (squares - m) // 2
 
 
@@ -49,14 +61,17 @@ def empirical_collision_probability(k: SlotCounts) -> CollisionEstimate:
     """The pairwise estimate sum_i k_i(k_i-1) / (m(m-1)).
 
     Computed as an exact integer ratio, converted to floating point in one
-    final division.  Requires m >= 2.
+    final division.  Requires m >= 2.  The estimate skips the constructor's
+    checks, which hold by construction: m >= 2 is checked first, and
+    0 <= 2 * pairs = sum k_i^2 - m <= m^2 - m = m(m-1), since every k_i lies in
+    [0, m], so the ratio lies in [0, 1] and pairs is nonnegative.
     """
     m = k.m
     if m < 2:
         raise EstimatorUndefinedError("estimator undefined for m < 2")
     pairs = collision_pairs(k)
     cp = (2 * pairs) / (m * (m - 1))
-    return CollisionEstimate(empirical_cp=cp, m=m, collision_pairs=pairs)
+    return CollisionEstimate._trusted(cp, m, pairs)
 
 
 def relative_error(est: CollisionEstimate, p_norm_sq: float) -> float:

@@ -15,8 +15,6 @@ copy of q's weights, so p's bits may differ from q's.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import rng
@@ -93,30 +91,42 @@ class HashModel:
     def from_file(cls, path, n: int) -> "HashModel":
         """Load a fixed table: one decimal slot index per line, line number = key.
 
-        Only the first ``MAX_SIZE + 1`` lines are kept, and the rest of the
-        file is only scanned for a non-blank line, so an oversized file is
-        rejected before any of it is parsed.
+        A first pass reads the text a chunk at a time, which checks that every
+        byte is ASCII and counts the lines up to the last non-blank one, so an
+        oversized file is rejected before any of it is parsed.  ``np.loadtxt``
+        then parses the lines into one int64 array, in place of a Python string
+        and int per line.  It skips blank lines, so an interior one shows as
+        fewer rows than lines, and it splits a line at spaces into columns.  It
+        reads an open file, since given a name it would fetch a URL or unpack a
+        ``.gz`` file.
         """
+        lines = newlines = 0
         try:
             with open(path, "r", encoding="ascii") as fh:
-                lines = list(itertools.islice(fh, MAX_SIZE + 1))
-                beyond = any(line.strip() for line in fh)
+                for chunk in iter(lambda: fh.read(2**16), ""):
+                    body = chunk.rstrip()
+                    if body:
+                        lines = newlines + body.count("\n") + 1
+                    newlines += chunk.count("\n")
         except UnicodeDecodeError as exc:
             raise ValueError(f"table file {path!r} has a non-ASCII byte") from exc
-        while lines and not lines[-1].strip():
-            lines.pop()
-        if beyond or len(lines) > MAX_SIZE:
+        if lines > MAX_SIZE:
             raise ValueError(f"table file {path!r} exceeds the maximum supported size 2**24")
         if not lines:
             raise ValueError(f"table file {path!r} is empty")
         non_integer = f"table file {path!r} has a non-integer line"
-        if any("_" in line for line in lines):  # int() reads "1_0" as 10
-            raise ValueError(non_integer)
         try:
-            entries = [int(line.strip()) for line in lines]
-        except ValueError as exc:
+            with open(path, "r", encoding="ascii") as fh:
+                rows = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:  # a non-integer field, or rows of unequal lengths
             raise ValueError(non_integer) from exc
-        return cls.from_table(np.asarray(entries), n)  # an ndarray is not searched for bools
+        if rows.shape != (lines, 1):
+            raise ValueError(non_integer)
+        table = rows.ravel()  # a new array, so no copy
+        n = _check_size(n, "slot count")
+        if int(table.view(np.uint64).max()) >= n:  # a negative entry reads as 2**63 or more
+            raise ValueError("table entries must lie in [0, n)")
+        return cls(table, lines, n)
 
     @property
     def universe(self) -> int:

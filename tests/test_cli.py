@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import math
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -196,6 +198,17 @@ class TestBound:
         assert code == 0
         assert "error_bound 1.10000" in out
         assert "confidence 0.908794" in out
+
+    def test_module_run_as_main_exits_with_the_command_status(self, capsys, monkeypatch):
+        # `python -m chainhash.cli` runs the module as __main__; with the module
+        # out of sys.modules, runpy runs it without a RuntimeWarning.
+        argv = ["bound", "--form", "load-factor", "--eps", "0.05", "--load", "1000"]
+        monkeypatch.setattr(sys, "argv", ["chainhash", *argv])
+        monkeypatch.delitem(sys.modules, "chainhash.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("chainhash.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == run(capsys, *argv)[1]
 
     def test_gaussian_json(self, capsys):
         code, out, _ = run(

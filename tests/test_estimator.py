@@ -16,6 +16,14 @@ from chainhash.probability import KeySequence, make_uniform, make_zipf, sample
 from oracle import brute_force_collision_pairs
 
 
+@st.composite
+def counts_summing_to(draw, totals):
+    """Counts of 1 to 64 slots whose total is drawn from ``totals``."""
+    m, n = draw(totals), draw(st.integers(1, 64))
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=n - 1, max_size=n - 1)))
+    return np.diff([0, *cuts, m]).tolist()
+
+
 class TestCollisionPairs:
     def test_examples(self):
         assert collision_pairs(SlotCounts([0, 0, 0, 3])) == 3
@@ -53,13 +61,11 @@ class TestCollisionPairs:
         assert collision_pairs(SlotCounts(counts)) == sum(k * (k - 1) // 2 for k in counts)
 
     # Random counts whose total m lies on either side of the guard m**2 < 2**63:
-    # up to 3037000499 the int64 vdot sums the squares, above it Python integers.
+    # up to 3037000499 the int64 dot sums the squares, above it Python integers.
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 64), m=st.one_of(
-        st.integers(0, 3037000499), st.integers(3037000500, 2**63 - 1)))
-    def test_exact_on_both_sides_of_the_guard(self, data, n, m):
-        cuts = sorted(data.draw(st.lists(st.integers(0, m), min_size=n - 1, max_size=n - 1)))
-        counts = np.diff([0, *cuts, m]).tolist()
+    @given(counts=counts_summing_to(st.one_of(
+        st.integers(0, 3037000499), st.integers(3037000500, 2**63 - 1))))
+    def test_exact_on_both_sides_of_the_guard(self, counts):
         assert collision_pairs(SlotCounts(counts)) == sum(k * (k - 1) // 2 for k in counts)
 
 
@@ -103,6 +109,23 @@ class TestEmpiricalCollisionProbability:
                 continue
             est = empirical_collision_probability(SlotCounts(counts))
             assert 0.0 <= est.empirical_cp <= 1.0
+
+    # The estimator builds its estimate unchecked; it must equal the one the
+    # checked constructor builds from the exact figures, field types included,
+    # at m = 2 and on both sides of collision_pairs' guard m**2 < 2**63.
+    @settings(max_examples=200, deadline=None)
+    @given(counts=counts_summing_to(st.one_of(
+        st.just(2), st.integers(2, 3037000499), st.integers(3037000500, 2**63 - 1))))
+    @example(counts=[2])
+    @example(counts=[1, 0, 1])
+    @example(counts=[2**63 - 2, 1])
+    def test_unchecked_estimate_equals_the_checked_one(self, counts):
+        m, pairs = sum(counts), sum(k * (k - 1) // 2 for k in counts)
+        checked = CollisionEstimate(2 * pairs / (m * (m - 1)), m, pairs)
+        est = empirical_collision_probability(SlotCounts(counts))
+        assert type(est) is CollisionEstimate and est == checked and repr(est) == repr(checked)
+        assert {k: type(v) for k, v in vars(est).items()} == {
+            k: type(v) for k, v in vars(checked).items()}
 
     def test_validation_in_record_type(self):
         with pytest.raises(ValueError):

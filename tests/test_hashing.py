@@ -191,6 +191,68 @@ class TestTableFile:
         with pytest.raises(ValueError):
             HashModel.from_file(path, 2)
 
+    # Each input with the table it reads as, or the end of its error message.
+    LINES = {
+        "interior blank line": (b"0\n\n1\n", "has a non-integer line"),
+        "interior spaces-only line": (b"0\n \t\n1\n", "has a non-integer line"),
+        "two fields": (b"3 4\n", "has a non-integer line"),
+        "two fields after one": (b"1\n3 4\n", "has a non-integer line"),
+        "tab-separated fields": (b"1\t2\n", "has a non-integer line"),
+        "comma-separated fields": (b"1,2\n", "has a non-integer line"),
+        "plus sign": (b"+3\n", [3]),
+        "spaces around": (b" 4 \n", [4]),
+        "digit-group underscore": (b"1_0\n", "has a non-integer line"),
+        "exponent": (b"1e3\n", "has a non-integer line"),
+        "decimal point": (b"1.0\n", "has a non-integer line"),
+        "hexadecimal": (b"0x10\n", "has a non-integer line"),
+        "boolean word": (b"True\n", "has a non-integer line"),
+        "comment mark": (b"0\n#1\n", "has a non-integer line"),
+        "20-digit integer": (b"12345678901234567890\n", "has a non-integer line"),
+        "negative entry": (b"0\n-1\n", "table entries must lie in [0, n)"),
+        "entry at n": (b"0\n64\n", "table entries must lie in [0, n)"),
+        "non-ASCII byte": (b"0\n\xe9\n", "has a non-ASCII byte"),
+        "CRLF line ends": (b"0\r\n1\r\n", [0, 1]),
+        "CR line ends": (b"0\r1\r", [0, 1]),
+        "only blank lines": (b"\n \n", "is empty"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    def test_each_kind_of_line(self, tmp_path, name):
+        data, expected = self.LINES[name]
+        path = str(tmp_path / "table.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        if isinstance(expected, list):
+            assert HashModel.from_file(path, 64).table.tolist() == expected
+        else:
+            named = "^" if expected.startswith("table") else f"^table file {re.escape(repr(path))} "
+            with pytest.raises(ValueError, match=named + re.escape(expected) + "$"):
+                HashModel.from_file(path, 64)
+
+    def test_reading_a_large_file_holds_about_its_table(self, tmp_path):
+        # 2**20 lines make an 8 MiB int64 table.  A Python string and int per
+        # line peaked at 84 MiB under tracemalloc; np.loadtxt read 9.4 MiB.
+        table = np.random.default_rng(22).integers(0, 64, 2**20)
+        path = tmp_path / "table.txt"
+        path.write_text("\n".join(map(str, table.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            h = HashModel.from_file(path, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(h.table, table)
+        assert peak < 16 * 2**20, peak
+
+    def test_file_over_the_cap_names_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hashing, "MAX_SIZE", 4)
+        path = str(tmp_path / "table.txt")
+        with open(path, "w") as fh:
+            fh.write("0\n1\n0\n1\n0\n")
+        message = f"^table file {re.escape(repr(path))} exceeds the maximum supported size 2\\*\\*24$"
+        with pytest.raises(ValueError, match=message):
+            HashModel.from_file(path, 2)
+
 
 class TestSlotProbabilities:
     def test_identity_passes_through(self):
