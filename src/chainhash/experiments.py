@@ -63,12 +63,10 @@ RECORD_CAP = 10**6
 # 3, 6 and 13.  The ceiling is the cache: see probability._BLOCK_DRAWS.
 
 CSV_HEADER = ("trial", "value", "rel_error", "violation")
-_CSV_BLOCK_ROWS = 2**16  # rows per CSV write: all 10**6 rows at once peaked at 197 MiB
-# Distinct rows a CSV block keeps formatted.  A memo of every distinct row of a
-# block would hold a second copy of its text: 2**18 all-distinct rows peaked at
-# 16.5 MiB instead of 8.8 under tracemalloc.  Cleared at 2**12 rows, it adds
-# 0.5 MiB, and short-trial runs repeat only a few hundred rows.
-_CSV_MEMO_ROWS = 2**12
+# Rows per CSV write, and the most formatted rows write_csv keeps: all 10**6
+# rows at once peaked at 197 MiB under tracemalloc, 2**16 all-distinct rows in
+# blocks of this size at 4.6 MiB.
+_CSV_BLOCK_ROWS = 2**14
 
 # Each bound name of a config kind, with its function and that function's
 # parameter names in argument order.  The CLI's `bound` and `ast-bound`
@@ -357,35 +355,33 @@ class ExperimentReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        # No field holds a comma, quote or newline: these are csv.writer's bytes.
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(CSV_HEADER) + "\n")
-            for start in range(0, len(self.rows), _CSV_BLOCK_ROWS):
-                fh.write(self._csv_block(start))
+        """One line per trial, written ``_CSV_BLOCK_ROWS`` lines at a time.
 
-    def _csv_block(self, start: int) -> str:
-        """The CSV lines of the ``_CSV_BLOCK_ROWS`` rows from ``start``.
-
-        An estimate is a ratio of integers, so a run of short trials repeats a
-        few hundred rows thousands of times: each distinct (float, float, bool)
-        row is formatted once, and later trials reuse its text.  The lines are
-        freed on return, before the write encodes their join.
+        An estimate is a ratio of integers, so short-trial runs repeat a few
+        hundred rows thousands of times: each distinct row is formatted once,
+        and its text is reused until the memo holds ``_CSV_BLOCK_ROWS`` rows
+        and is cleared.  No field holds a comma, quote or newline: these are
+        csv.writer's bytes.
         """
         if self.config.kind == "collision":
             fields = "%r,%r,%d\n".__mod__
         else:
             fields = lambda row: "%r,,%d\n" % (row[0], row[2])
-        memo, lines = {}, []
-        for t, row in enumerate(self.rows[start : start + _CSV_BLOCK_ROWS], start):
-            text = memo.get(row)
-            if text is None:
-                text = fields(row)
-                if row[0] and row[1]:  # 0.0 == -0.0 would share a key, but their reprs differ
-                    if len(memo) == _CSV_MEMO_ROWS:
-                        memo.clear()
-                    memo[row] = text
-            lines.append(f"{t},{text}")
-        return "".join(lines)
+        memo = {}
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(CSV_HEADER) + "\n")
+            for start in range(0, len(self.rows), _CSV_BLOCK_ROWS):
+                lines = []
+                for t, row in enumerate(self.rows[start : start + _CSV_BLOCK_ROWS], start):
+                    text = memo.get(row)
+                    if text is None:
+                        text = fields(row)
+                        if row[0] and row[1]:  # 0.0 == -0.0 shares a key, but not a repr
+                            if len(memo) == _CSV_BLOCK_ROWS:
+                                memo.clear()
+                            memo[row] = text
+                    lines.append(f"{t},{text}")
+                fh.write("".join(lines))
 
 
 def resolve_collision_bound(spec: Mapping[str, Any], n: int, m: int) -> DeviationBound:

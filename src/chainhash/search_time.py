@@ -130,7 +130,7 @@ def restricted_access_bound(c: float, alpha: float, epsilon: float, L: float) ->
     _require(0.0 < alpha <= 1.0, "alpha must lie in (0, 1]")
     tail = _eps_tail(epsilon, L)
     base = c * L / math.sqrt(alpha)
-    return IntervalBound(center=base + 1.0, halfwidth=base * 8.0 * epsilon, confidence=1.0 - tail)
+    return IntervalBound(center=base + 1.0, halfwidth=base * (8.0 * epsilon), confidence=1.0 - tail)
 
 
 def combined_query_bound(

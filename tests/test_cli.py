@@ -576,6 +576,17 @@ class TestWorkedExamples:
             bound = search_time.restricted_access_bound(5.0, 0.1, 0.05, row.pop("load"))
             assert row == dataclasses.asdict(bound)
 
+    def test_restricted_access_halfwidth_stays_finite_near_the_double_range(self, capsys):
+        code, out, err = run(
+            capsys,
+            "restricted-access", "--c", "1", "--alpha", "0.5", "--eps", "0.1",
+            "--load", "200", "1e308",
+        )
+        assert (code, err) == (0, "")
+        assert out.strip().splitlines()[2].split() == [
+            "1.00000e+308", "1.41421e+308", "1.13137e+308", "1.00000"
+        ]
+
     def test_combined_query(self, capsys):
         code, out, _ = run(
             capsys,

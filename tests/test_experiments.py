@@ -522,11 +522,11 @@ def csv_write_peak(report, path):
 
 @pytest.mark.parametrize("make", [collision_config, ast_config])
 def test_csv_write_holds_one_block_of_lines(make, monkeypatch, tmp_path):
-    # write_csv joins and writes _CSV_BLOCK_ROWS rows at a time, so 32 blocks
-    # peak about as one does.  Blocks of 2**8 rows keep this quick under
-    # tracemalloc: collision runs peaked at 39 KB for one block and 40 KB for 32,
-    # AST runs at 31 and 38 KB, where one string of all 2**13 rows took 1.4 MB
-    # and 1.0 MB.
+    # write_csv joins and writes _CSV_BLOCK_ROWS rows at a time and keeps at
+    # most as many formatted rows, so 32 blocks peak about as one does.  Blocks
+    # of 2**8 rows keep this quick under tracemalloc: collision runs peaked at
+    # 77 KiB for one block and 79 KiB for 32, AST runs at 61 and 68 KiB, where
+    # one block of all 2**13 rows took 2.3 MiB and 1.8 MiB.
     monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", 2**8, raising=False)
     rows = [(t / 3, t / 7, t % 5 == 0) for t in range(2**13)]
     cfg, path = make(), tmp_path / "trials.csv"
@@ -542,13 +542,13 @@ def test_csv_write_holds_one_block_of_lines(make, monkeypatch, tmp_path):
 CSV_FLOATS = ("0.0", "-0.0", "nan", "0.25", "0.1", "1e-300")
 
 
-@pytest.mark.parametrize("memo_rows", [2, 2**12])
+@pytest.mark.parametrize("block_rows", [2, 2**8])
 @pytest.mark.parametrize("make", [collision_config, ast_config])
-def test_csv_rows_formatted_once_keep_the_bytes(make, memo_rows, monkeypatch, tmp_path):
-    # Rows repeat within blocks of 2**8 and across their boundaries, and a memo
-    # of 2 rows is cleared over and over.  Each row has new float objects.
-    monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", 2**8)
-    monkeypatch.setattr(experiments, "_CSV_MEMO_ROWS", memo_rows)
+def test_csv_rows_formatted_once_keep_the_bytes(make, block_rows, monkeypatch, tmp_path):
+    # Rows repeat within blocks and across their edges, and the memo, cleared
+    # when it holds _CSV_BLOCK_ROWS rows, is cleared every two rows at 2.  Each
+    # row has new float objects.
+    monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", block_rows)
     pool = [(v, a, bad) for v in CSV_FLOATS for a in CSV_FLOATS for bad in (False, True)]
     rows = [(float(v), float(a), bad) for v, a, bad in (pool[7 * t % len(pool)] for t in range(777))]
     report = experiments.ExperimentReport(make(), {}, {}, rows, 0.0)
@@ -558,32 +558,14 @@ def test_csv_rows_formatted_once_keep_the_bytes(make, memo_rows, monkeypatch, tm
     assert b",-0.0," in path.read_bytes() and b",nan," in path.read_bytes()
 
 
-def unmemoised_csv_write(report, path):
-    """write_csv as one "%"-format per row, a block of joined lines per write."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for start in range(0, len(report.rows), experiments._CSV_BLOCK_ROWS):
-            block = enumerate(report.rows[start : start + experiments._CSV_BLOCK_ROWS], start)
-            fh.write("".join(["%d,%r,%r,%d\n" % (t, *row) for t, row in block]))
-
-
-def test_csv_memo_keeps_the_write_peak_within_a_tenth(tmp_path):
-    # 2**18 all-distinct rows: every row misses the memo, which is cleared at
-    # _CSV_MEMO_ROWS.  The write without a memo peaked at 8.8 MiB under
-    # tracemalloc, this one at 9.3; a memo of every row of a block, at 16.5.
-    rows = [(t / 3, t / 7, t % 5 == 0) for t in range(2**18)]
+def test_csv_write_of_distinct_rows_peaks_under_6_mib(tmp_path):
+    # 2**16 all-distinct rows: every row misses the memo, which holds at most
+    # _CSV_BLOCK_ROWS rows.  Blocks of 2**14 rows peaked at 4.6 MiB under
+    # tracemalloc; blocks of 2**16 with a memo of 2**12 rows, at 9.0.
+    rows = [(t / 3, t / 7, t % 5 == 0) for t in range(2**16)]
     report = experiments.ExperimentReport(collision_config(), {}, {}, rows, 0.0)
-    path = tmp_path / "trials.csv"
-    tracemalloc.start()
-    try:
-        unmemoised_csv_write(report, path)
-        _, reference = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        report.write_csv(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.1 * reference, (peak, reference)
+    peak = csv_write_peak(report, tmp_path / "trials.csv")
+    assert peak < 6 * 2**20, peak
 
 
 # name -> (config, record cap)

@@ -230,9 +230,9 @@ class TestTableFile:
                 HashModel.from_file(path, 64)
 
     def test_reading_a_large_file_holds_about_its_table(self, tmp_path):
-        # 2**20 lines make an 8 MiB int64 table.  A Python string and int per
-        # line peaked at 84 MiB under tracemalloc; np.loadtxt read 9.4 MiB.
-        table = np.random.default_rng(22).integers(0, 64, 2**20)
+        # 2**16 lines make a 0.5 MiB int64 table.  A Python string and int per
+        # line peaked at 5.3 MiB under tracemalloc; np.loadtxt read 0.65 MiB.
+        table = np.random.default_rng(22).integers(0, 64, 2**16)
         path = tmp_path / "table.txt"
         path.write_text("\n".join(map(str, table.tolist())) + "\n")
         tracemalloc.start()
@@ -242,7 +242,7 @@ class TestTableFile:
         finally:
             tracemalloc.stop()
         assert np.array_equal(h.table, table)
-        assert peak < 16 * 2**20, peak
+        assert peak < 2 * table.nbytes, peak
 
     def test_file_over_the_cap_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hashing, "MAX_SIZE", 4)

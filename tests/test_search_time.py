@@ -157,6 +157,12 @@ class TestRestrictedAccess:
         assert_allclose(b.center + b.halfwidth, direct.value, rtol=1e-12)
         assert_allclose(b.confidence, direct.confidence, rtol=1e-12)
 
+    def test_halfwidth_is_finite_where_eight_times_the_base_overflows(self):
+        # base = c*L/sqrt(alpha) = 1e308; base*8 alone would exceed the double range.
+        b = restricted_access_bound(1.0, 1.0, 0.1, 1e308)
+        assert b.halfwidth == 1e308 * 0.8
+        assert math.isfinite(b.center) and math.isfinite(b.halfwidth)
+
     def test_alpha_one_minimizes_center(self):
         centers = [
             restricted_access_bound(5.0, a, 0.05, 1000.0).center for a in (0.1, 0.5, 1.0)
